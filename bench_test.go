@@ -380,35 +380,6 @@ func BenchmarkBranchBoundParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolio races the default portfolio on a mid-size instance; the
-// sub-benchmark shards a stream of solves across goroutines with
-// b.SetParallelism, exercising the portfolio under concurrent callers as the
-// experiment harness does.
-func BenchmarkPortfolio(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	inst := gen.Random(rng, 3, 6, 0.05, 1.0)
-	b.Run("single", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.NewDefaultPortfolio().Solve(context.Background(), inst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel-callers", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetParallelism(4)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, _, err := solver.NewDefaultPortfolio().Solve(context.Background(), inst); err != nil {
-					b.Errorf("portfolio: %v", err)
-					return
-				}
-			}
-		})
-	})
-}
-
 // BenchmarkParallelEach shards a batch of instances across the worker pool,
 // the experiment-scale throughput path of the solver subsystem.
 func BenchmarkParallelEach(b *testing.B) {

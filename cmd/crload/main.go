@@ -89,8 +89,6 @@ func main() {
 	replaySpeed := flag.Float64("replay-speed", 1, "compress (>1) or stretch (<1) the replayed arrival schedule; the request sequence is unchanged")
 	mergeSpec := flag.String("merge", "", "comma-separated report JSON files to pool into one fleet report (no load is driven)")
 	sloPath := flag.String("slo", "", "declarative SLO spec (JSON); violations exit with code 4")
-	speculate := flag.Bool("speculate", false, "enable speculative pre-solving of hot fingerprint families on the in-process server")
-	speculateBudget := flag.Int("speculate-budget", 0, "variants pre-solved per hot instance on the in-process server; 0 uses the engine default")
 	minWarmStarts := flag.Int("min-warm-starts", 0, "fail unless at least this many fresh solves were warm-started")
 	flag.Parse()
 
@@ -184,10 +182,8 @@ func main() {
 		// server; the stack's generous default admission budget keeps
 		// queueing delay out of the measured latencies.
 		scfg := harness.StackConfig{
-			Version:         "crload",
-			CacheDir:        *cacheDir,
-			Speculate:       *speculate,
-			SpeculateBudget: *speculateBudget,
+			Version:  "crload",
+			CacheDir: *cacheDir,
 		}
 		if len(tenantLoads) > 0 {
 			scfg.Tenants = make(map[string]engine.TenantConfig, len(tenantLoads))

@@ -218,6 +218,5 @@ func perturbedSchedule(inst *core.Instance, noise []float64) (*core.Schedule, er
 		}
 		return shares
 	})
-	sched.Trim()
 	return sched, nil
 }

@@ -90,6 +90,5 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 			out.AppendStep(row)
 		}
 	}
-	out.Trim()
 	return out, nil
 }

@@ -81,11 +81,13 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		return nil, err
 	}
 	b := core.NewBuilder(inst)
-	sched := b.BuildGreedy(func(b *core.Builder) []float64 {
+	// BuildGreedy stops as soon as every job is finished, so every step it
+	// appends is needed: an all-zero step still advances the jobs with zero
+	// requirement (they progress one volume unit per step whatever their
+	// share). Trimming trailing zero steps would leave such jobs unfinished.
+	return b.BuildGreedy(func(b *core.Builder) []float64 {
 		return s.allocateStep(b)
-	})
-	sched.Trim()
-	return sched, nil
+	}), nil
 }
 
 // allocateStep computes the allocation of a single time step from the

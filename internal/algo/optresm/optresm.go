@@ -98,8 +98,8 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 }
 
 // ScheduleContext is Schedule with cooperative cancellation: the round loop
-// polls ctx once per round, so cancellation and deadlines take effect after
-// at most one round of configuration enumeration.
+// polls ctx every 64 parent configurations and inside the dominance sweep, so
+// cancellation and deadlines take effect within a fraction of a round.
 func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -139,6 +139,14 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		seen := make(map[string]int)
 
 		for parentIdx, c := range current {
+			// A wide round holds many thousands of parents, each with up to
+			// 2^m successors: poll the context every 64 parents, as
+			// pruneDominated does, so a deadline cannot overshoot by a round.
+			if parentIdx&63 == 63 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			succ := successors(inst, c)
 			for _, nc := range succ {
 				nc.parent = parentIdx

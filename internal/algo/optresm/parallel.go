@@ -91,7 +91,12 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 		// representatives.
 		var next []*config
 		seen := make(map[string]int)
-		for _, nc := range expanded {
+		for i, nc := range expanded {
+			if i&63 == 63 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			k := nc.key()
 			if _, ok := seen[k]; ok {
 				continue
@@ -158,6 +163,11 @@ func expandRound(ctx context.Context, inst *core.Instance, current []*config, wo
 	if workers <= 1 {
 		var out []*config
 		for parentIdx, c := range current {
+			if parentIdx&63 == 63 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			for _, nc := range successors(inst, c) {
 				nc.parent = parentIdx
 				out = append(out, nc)
@@ -185,7 +195,7 @@ func expandRound(ctx context.Context, inst *core.Instance, current []*config, wo
 			defer wg.Done()
 			var out []*config
 			for parentIdx := ch.lo; parentIdx < ch.hi; parentIdx++ {
-				if ctx.Err() != nil {
+				if parentIdx&63 == 63 && ctx.Err() != nil {
 					return
 				}
 				for _, nc := range successors(inst, current[parentIdx]) {

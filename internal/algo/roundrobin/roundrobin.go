@@ -84,9 +84,7 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 			b.AppendStep(shares)
 		}
 	}
-	sched := b.Schedule()
-	sched.Trim()
-	return sched, nil
+	return b.Schedule(), nil
 }
 
 // phaseMembers returns the processors whose job `phase` is still unfinished.

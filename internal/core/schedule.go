@@ -71,9 +71,11 @@ func (s *Schedule) Clone() *Schedule {
 	return out
 }
 
-// Trim removes trailing time steps in which no resource is assigned. Such
-// steps can only arise from over-provisioned horizons and never shorten the
-// effective schedule.
+// Trim removes trailing time steps in which no resource is assigned. It does
+// not look at the instance, so it must not be applied to a schedule whose
+// trailing zero steps run jobs with zero requirement: those jobs progress one
+// volume unit per step whatever their share, and trimming leaves them
+// unfinished.
 func (s *Schedule) Trim() {
 	for len(s.Alloc) > 0 {
 		last := s.Alloc[len(s.Alloc)-1]

@@ -88,25 +88,15 @@ type Config struct {
 	// ShedRetryAfter is the back-off hint carried by ErrShed rejections
 	// (default 1s).
 	ShedRetryAfter time.Duration
-	// Speculate enables the speculation controller: the engine watches
-	// per-fingerprint request frequency and pre-solves single-mutation
-	// variants of hot instances into the memo cache, under the dedicated
-	// low-weight SpeculationTenant so speculation can never starve real
-	// traffic through the fair scheduler. Requires Cache.
-	Speculate bool
-	// SpeculateBudget caps how many variants are pre-solved per hot
-	// instance (default 8).
-	SpeculateBudget int
 }
 
 // Engine routes every solve of the process. Create one with New and share it
 // between the serving layer, the job manager and any other solve surface; it
 // is safe for concurrent use.
 type Engine struct {
-	cfg  Config
-	sem  *fairScheduler
-	met  *metrics
-	spec *speculator // nil unless Config.Speculate
+	cfg Config
+	sem *fairScheduler
+	met *metrics
 }
 
 // New validates the configuration, applies defaults and returns an Engine.
@@ -132,42 +122,17 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.ShedRetryAfter <= 0 {
 		cfg.ShedRetryAfter = time.Second
 	}
-	if cfg.Speculate {
-		if cfg.Cache == nil {
-			return nil, errors.New("engine: Config.Speculate requires Config.Cache")
-		}
-		if _, ok := cfg.Tenants[SpeculationTenant]; !ok {
-			// Register the speculation tenant without mutating the caller's
-			// map: minimal weight and inflight, deep best-effort priority, so
-			// the fair scheduler both serves it strictly last and sheds it
-			// whenever real traffic has the capacity covered.
-			tenants := make(map[string]TenantConfig, len(cfg.Tenants)+1)
-			for name, tc := range cfg.Tenants {
-				tenants[name] = tc
-			}
-			tenants[SpeculationTenant] = TenantConfig{Weight: 1, MaxInflight: 1, MaxQueued: 2, Priority: 9}
-			cfg.Tenants = tenants
-		}
-	}
-	e := &Engine{
+	return &Engine{
 		cfg: cfg,
 		sem: newFairScheduler(int64(cfg.MaxConcurrent), cfg.TenantDefaults, cfg.Tenants, cfg.ShedRetryAfter),
 		met: newMetrics(),
-	}
-	if cfg.Speculate {
-		e.spec = newSpeculator(e, cfg.SpeculateBudget)
-	}
-	return e, nil
+	}, nil
 }
 
-// Close stops the engine's background work (the speculation controller).
-// In-flight solves are unaffected; call it after the serving surfaces have
-// drained. A nil-op when speculation is off.
-func (e *Engine) Close() {
-	if e.spec != nil {
-		e.spec.close()
-	}
-}
+// Close releases the engine. The engine runs no background work, so Close
+// does nothing today; it is kept so callers that shut an engine down after
+// their serving surfaces drain keep compiling.
+func (e *Engine) Close() {}
 
 // Registry returns the engine's solver registry.
 func (e *Engine) Registry() *solver.Registry { return e.cfg.Registry }
@@ -332,9 +297,6 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	e.met.observe(tenant, src, ev, err, adm.queued)
 	if err != nil {
 		return nil, err
-	}
-	if e.spec != nil && tenant != SpeculationTenant {
-		e.spec.observe(name, req.Instance)
 	}
 	tel := newTelemetry(name, ev, src, req.Instance, adm.queued)
 	tel.Tenant = tenant

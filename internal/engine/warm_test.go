@@ -2,13 +2,10 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"testing"
-	"time"
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
-	"crsharing/internal/gen"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
 )
@@ -136,118 +133,5 @@ func TestNeighborWarmStartTelemetry(t *testing.T) {
 	}
 	if res.Telemetry.SeedMakespan <= 0 {
 		t.Fatalf("seed_makespan = %d for an accepted neighbor hint", res.Telemetry.SeedMakespan)
-	}
-}
-
-// TestSpeculationPresolvesHotFamily: the controller notices a fingerprint
-// crossing the hotness threshold and pre-solves its single-mutation variants
-// into the memo cache under the speculation tenant.
-func TestSpeculationPresolvesHotFamily(t *testing.T) {
-	eng := newWarmEngine(t, func(cfg *Config) {
-		cfg.Speculate = true
-		cfg.SpeculateBudget = 4
-	})
-	ctx := context.Background()
-
-	hot := core.NewInstance([]float64{0.9, 0.3, 0.5}, []float64{0.2, 0.6})
-	for i := 0; i < speculateHotThreshold; i++ {
-		if _, err := eng.Solve(ctx, Request{Instance: hot}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	variants := gen.Variants(hot, 4)
-	if len(variants) == 0 {
-		t.Fatal("hot instance has no variants")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	warmed := 0
-	for time.Now().Before(deadline) {
-		warmed = 0
-		for _, v := range variants {
-			if eng.Cache().Contains("warm-stub", v.Fingerprint()) {
-				warmed++
-			}
-		}
-		if warmed == len(variants) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if warmed == 0 {
-		t.Fatal("speculation pre-solved none of the hot family's variants")
-	}
-
-	snap := eng.Snapshot()
-	if snap.Speculation.Issued == 0 {
-		t.Fatalf("controller reports zero issued speculations: %+v", snap.Speculation)
-	}
-	spec, ok := snap.Tenants[SpeculationTenant]
-	if !ok {
-		t.Fatal("speculation tenant missing from the snapshot")
-	}
-	if spec.Requests == 0 {
-		t.Fatal("speculative solves not accounted to the speculation tenant")
-	}
-
-	// The pre-solved variant now answers a real request from the cache.
-	hit, err := eng.Solve(ctx, Request{Instance: variants[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit.Source == solver.SourceSolve {
-		t.Fatal("pre-solved variant re-solved on the real request")
-	}
-}
-
-// TestSpeculationDoesNotStarveRealTraffic is the safety property: with
-// speculation on and a hot family queued, a burst of real-tenant requests
-// all complete without errors, and the speculation tenant never exceeds its
-// single admission slot.
-func TestSpeculationDoesNotStarveRealTraffic(t *testing.T) {
-	eng := newWarmEngine(t, func(cfg *Config) {
-		cfg.Speculate = true
-		cfg.SpeculateBudget = 8
-		cfg.MaxConcurrent = 2
-	})
-	ctx := context.Background()
-
-	hot := core.NewInstance([]float64{0.9, 0.3, 0.5}, []float64{0.2, 0.6})
-	for i := 0; i < speculateHotThreshold; i++ {
-		if _, err := eng.Solve(ctx, Request{Instance: hot}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Saturating real burst while the controller is (or may be) pre-solving.
-	insts := distinctInstances(32)
-	var wg sync.WaitGroup
-	errs := make(chan error, len(insts))
-	for _, inst := range insts {
-		wg.Add(1)
-		go func(inst *core.Instance) {
-			defer wg.Done()
-			if _, err := eng.Solve(ctx, Request{Instance: inst, Timeout: NoDeadline}); err != nil {
-				errs <- err
-			}
-		}(inst)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("real-tenant solve failed under speculation: %v", err)
-	}
-
-	snap := eng.Snapshot()
-	def := snap.Tenants[""]
-	if def.Errors != 0 || def.Shed != 0 {
-		t.Fatalf("real tenant saw errors/sheds: %+v", def)
-	}
-	spec := snap.Tenants[SpeculationTenant]
-	if spec.Inflight > 1 {
-		t.Fatalf("speculation tenant holds %d admission slots, quota is 1", spec.Inflight)
-	}
-	if spec.Requests > snap.Speculation.Issued {
-		t.Fatalf("speculation tenant finished %d requests but only %d were issued", spec.Requests, snap.Speculation.Issued)
 	}
 }

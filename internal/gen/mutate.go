@@ -6,12 +6,10 @@ import (
 	"crsharing/internal/core"
 )
 
-// Mutation operators over instances, shared by the two consumers of the
-// incremental-solving layer so they stay in lockstep: the harness's "online"
-// workload class replays seeded mutation chains as client traffic, and the
-// engine's speculation controller pre-solves the same kinds of variants of
-// hot instances into the memo cache. Every operator returns a fresh
-// instance (the input is never modified) that stays inside the model's
+// Mutation operators over instances: the harness's "online" workload class
+// replays seeded mutation chains of them as client traffic, which exercises
+// the neighbor index and the warm-started kernels. Every operator returns a
+// fresh instance (the input is never modified) that stays inside the model's
 // domain, and preserves unit sizes when the input has them.
 
 // MutationKind names one instance mutation operator.
@@ -94,46 +92,6 @@ func MutateChain(rng *rand.Rand, base *core.Instance, steps int) []*core.Instanc
 		chain = append(chain, cur)
 	}
 	return chain
-}
-
-// Variants enumerates deterministic single-mutation neighbors of inst for
-// speculative pre-solving: every adjacent transposition in every queue,
-// every drop-first, and one appended mid-requirement job per processor,
-// capped at max results (0 means no cap). Unlike Mutate it takes no rng —
-// the speculation controller must produce the same variant set for the same
-// hot instance on every process.
-func Variants(inst *core.Instance, max int) []*core.Instance {
-	var out []*core.Instance
-	emit := func(v *core.Instance) bool {
-		out = append(out, v)
-		return max > 0 && len(out) >= max
-	}
-	for i := 0; i < inst.NumProcessors(); i++ {
-		for j := 0; j+1 < inst.NumJobs(i); j++ {
-			v := inst.Clone()
-			v.Procs[i][j], v.Procs[i][j+1] = v.Procs[i][j+1], v.Procs[i][j]
-			if emit(v) {
-				return out
-			}
-		}
-	}
-	for i := 0; i < inst.NumProcessors(); i++ {
-		if inst.NumJobs(i) > 0 && inst.TotalJobs() > 1 {
-			v := inst.Clone()
-			v.Procs[i] = append([]core.Job(nil), v.Procs[i][1:]...)
-			if emit(v) {
-				return out
-			}
-		}
-	}
-	for i := 0; i < inst.NumProcessors(); i++ {
-		v := inst.Clone()
-		v.Procs[i] = append(append([]core.Job(nil), v.Procs[i]...), core.UnitJob(0.5))
-		if emit(v) {
-			return out
-		}
-	}
-	return out
 }
 
 // pickProcWith picks a uniformly random processor with at least minJobs

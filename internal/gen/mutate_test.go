@@ -62,32 +62,3 @@ func TestMutateChainShape(t *testing.T) {
 		}
 	}
 }
-
-// TestVariantsDeterministicAndDistinct: the speculation controller's variant
-// enumeration is rng-free, so two calls agree fingerprint for fingerprint;
-// each variant is valid and differs from the base.
-func TestVariantsDeterministicAndDistinct(t *testing.T) {
-	base := core.NewInstance(
-		[]float64{0.3, 0.7, 0.5},
-		[]float64{0.2},
-	)
-	a := Variants(base, 0)
-	b := Variants(base, 0)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("variant counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Fingerprint() != b[i].Fingerprint() {
-			t.Fatalf("variant %d differs between identical calls", i)
-		}
-		if err := a[i].Validate(); err != nil {
-			t.Fatalf("variant %d invalid: %v", i, err)
-		}
-		if a[i].Fingerprint() == base.Fingerprint() {
-			t.Fatalf("variant %d equals the base instance", i)
-		}
-	}
-	if capped := Variants(base, 2); len(capped) != 2 {
-		t.Fatalf("cap ignored: %d variants", len(capped))
-	}
-}

@@ -50,12 +50,6 @@ type StackConfig struct {
 	// NegativeTTL, when positive, remembers deterministic solve failures for
 	// that long and replays them without re-solving.
 	NegativeTTL time.Duration
-	// Speculate enables the engine's speculation controller: hot fingerprint
-	// families get their single-mutation variants pre-solved into the memo
-	// cache under the low-priority speculation tenant. SpeculateBudget caps
-	// the variants per hot instance (0 = engine default).
-	Speculate       bool
-	SpeculateBudget int
 }
 
 // Stack is the full production stack — one shared engine (registry, memo
@@ -130,15 +124,13 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	}
 
 	eng, err := engine.New(engine.Config{
-		Registry:        solver.Default(),
-		Cache:           cache,
-		DefaultSolver:   cfg.DefaultSolver,
-		MaxConcurrent:   cfg.MaxConcurrent,
-		Tenants:         cfg.Tenants,
-		TenantDefaults:  cfg.TenantDefaults,
-		ShedRetryAfter:  cfg.ShedRetryAfter,
-		Speculate:       cfg.Speculate,
-		SpeculateBudget: cfg.SpeculateBudget,
+		Registry:       solver.Default(),
+		Cache:          cache,
+		DefaultSolver:  cfg.DefaultSolver,
+		MaxConcurrent:  cfg.MaxConcurrent,
+		Tenants:        cfg.Tenants,
+		TenantDefaults: cfg.TenantDefaults,
+		ShedRetryAfter: cfg.ShedRetryAfter,
 	})
 	if err != nil {
 		if persister != nil {
@@ -155,7 +147,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		MaxTimeout:     cfg.JobMaxTimeout,
 	})
 	if err != nil {
-		eng.Close()
 		if persister != nil {
 			_ = persister.Close()
 		}
@@ -168,7 +159,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		APIKeys: cfg.APIKeys,
 	})
 	if err != nil {
-		eng.Close()
 		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = manager.Close(cctx)
@@ -190,12 +180,10 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 }
 
 // Close tears the stack down in order: listener first (drains handlers),
-// then the engine (stops the speculation controller), then the job manager
-// (cancels running jobs), then the cache persister (final flush). It returns
-// the first error.
+// then the job manager (cancels running jobs), then the cache persister
+// (final flush). It returns the first error.
 func (s *Stack) Close() error {
 	s.listener.Close()
-	s.Engine.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err := s.Manager.Close(ctx)

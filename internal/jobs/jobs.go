@@ -33,7 +33,6 @@ import (
 	"crsharing/internal/core"
 	"crsharing/internal/engine"
 	"crsharing/internal/progress"
-	"crsharing/internal/solver"
 )
 
 // State is a job lifecycle state.
@@ -192,17 +191,10 @@ var (
 // Config configures a Manager. Zero values of optional fields take the
 // documented defaults.
 type Config struct {
-	// Engine, when non-nil, is the solve pipeline the workers submit to.
-	// Share one engine with the synchronous serving layer so job solves draw
-	// from the same global admission budget and memo cache. When nil, New
-	// builds a private engine from the legacy fields below.
+	// Engine is the solve pipeline the workers submit to; required. Share
+	// one engine with the synchronous serving layer so job solves draw from
+	// the same global admission budget and memo cache.
 	Engine *engine.Engine
-	// Registry resolves solver names; required when Engine is nil.
-	Registry *solver.Registry
-	// Cache, when non-nil, memoises evaluations and deduplicates identical
-	// concurrent solves. Ignored when Engine is set (the engine owns the
-	// cache).
-	Cache *solver.Cache
 	// DefaultSolver is used when a request names none (default: the
 	// engine's default solver).
 	DefaultSolver string
@@ -301,18 +293,7 @@ func (m *Manager) pendingOf(tenant string) int {
 // the worker pool.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Engine == nil {
-		if cfg.Registry == nil {
-			return nil, errors.New("jobs: Config.Engine or Config.Registry is required")
-		}
-		eng, err := engine.New(engine.Config{
-			Registry:      cfg.Registry,
-			Cache:         cfg.Cache,
-			DefaultSolver: cfg.DefaultSolver,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		cfg.Engine = eng
+		return nil, errors.New("jobs: Config.Engine is required")
 	}
 	if cfg.DefaultSolver == "" {
 		cfg.DefaultSolver = cfg.Engine.DefaultSolver()

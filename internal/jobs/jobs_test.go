@@ -9,6 +9,7 @@ import (
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
 )
@@ -49,15 +50,25 @@ func testInstance() *core.Instance {
 	return core.NewInstance([]float64{0.3, 0.7}, []float64{0.5})
 }
 
+// stubEngine builds an engine over a registry serving stub as "stub", the
+// engine's default solver, with the given memo cache (nil disables caching).
+func stubEngine(t *testing.T, stub solver.Solver, cache *solver.Cache) *engine.Engine {
+	t.Helper()
+	reg := solver.NewRegistry()
+	reg.Register("stub", func() solver.Solver { return stub })
+	eng, err := engine.New(engine.Config{Registry: reg, Cache: cache, DefaultSolver: "stub"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // newTestManager builds a manager over a registry serving the stub as both
 // "stub" and the default solver.
 func newTestManager(t *testing.T, stub *stubSolver, mutate func(*Config)) *Manager {
 	t.Helper()
-	reg := solver.NewRegistry()
-	reg.Register("stub", func() solver.Solver { return stub })
 	cfg := Config{
-		Registry:      reg,
-		Cache:         solver.NewCache(4, 64),
+		Engine:        stubEngine(t, stub, solver.NewCache(4, 64)),
 		DefaultSolver: "stub",
 		Workers:       2,
 		QueueDepth:    8,
@@ -414,10 +425,7 @@ func TestRestartServesStoredResultWithoutResolving(t *testing.T) {
 		t.Fatal(err)
 	}
 	stub := &stubSolver{name: "stub"}
-	reg := solver.NewRegistry()
-	reg.Register("stub", func() solver.Solver { return stub })
-
-	m1, err := New(Config{Registry: reg, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m1, err := New(Config{Engine: stubEngine(t, stub, nil), Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +448,7 @@ func TestRestartServesStoredResultWithoutResolving(t *testing.T) {
 	solves := stub.calls.Load()
 
 	// "Restart": a fresh manager over the same store (and a fresh cache).
-	m2, err := New(Config{Registry: reg, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m2, err := New(Config{Engine: stubEngine(t, stub, nil), Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,9 +482,7 @@ func TestRestartRequeuesPendingJobs(t *testing.T) {
 	// pending on shutdown.
 	block := make(chan struct{})
 	stub1 := &stubSolver{name: "stub", block: block}
-	reg1 := solver.NewRegistry()
-	reg1.Register("stub", func() solver.Solver { return stub1 })
-	m1, err := New(Config{Registry: reg1, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m1, err := New(Config{Engine: stubEngine(t, stub1, nil), Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,9 +505,7 @@ func TestRestartRequeuesPendingJobs(t *testing.T) {
 
 	// Manager 2 restores and runs the checkpointed job to completion.
 	stub2 := &stubSolver{name: "stub"}
-	reg2 := solver.NewRegistry()
-	reg2.Register("stub", func() solver.Solver { return stub2 })
-	m2, err := New(Config{Registry: reg2, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m2, err := New(Config{Engine: stubEngine(t, stub2, nil), Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,10 +683,7 @@ func TestRestartQuarantinesRecordsWithoutInstance(t *testing.T) {
 	if err := store.Save(bad); err != nil {
 		t.Fatal(err)
 	}
-	stub := &stubSolver{name: "stub"}
-	reg := solver.NewRegistry()
-	reg.Register("stub", func() solver.Solver { return stub })
-	m, err := New(Config{Registry: reg, DefaultSolver: "stub", Workers: 1, QueueDepth: 4, Store: store})
+	m, err := New(Config{Engine: stubEngine(t, &stubSolver{name: "stub"}, nil), Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
@@ -45,18 +46,34 @@ func (s *slowSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 	return sched, solver.Stats{Solver: s.Name(), Elapsed: time.Duration(s.ticks) * s.tick}, err
 }
 
+// solverEngine builds an engine over a registry serving sv under its name,
+// which is also the default solver, with a small memo cache. A positive
+// syncDeadline is both the default and the maximum synchronous deadline.
+func solverEngine(t *testing.T, sv solver.Solver, syncDeadline time.Duration) *engine.Engine {
+	t.Helper()
+	reg := solver.NewRegistry()
+	reg.Register(sv.Name(), func() solver.Solver { return sv })
+	eng, err := engine.New(engine.Config{
+		Registry:       reg,
+		Cache:          solver.NewCache(4, 64),
+		DefaultSolver:  sv.Name(),
+		DefaultTimeout: syncDeadline,
+		MaxTimeout:     syncDeadline,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // newJobsServer wires a registry serving the given solver (as "slow" and
 // default), a shared cache, a jobs manager over an optional store, and an
 // httptest frontend with a deliberately tiny synchronous deadline.
 func newJobsServer(t *testing.T, sv solver.Solver, store jobs.Store) (*jobs.Manager, *httptest.Server) {
 	t.Helper()
-	reg := solver.NewRegistry()
-	reg.Register(sv.Name(), func() solver.Solver { return sv })
-	cache := solver.NewCache(4, 64)
+	eng := solverEngine(t, sv, 30*time.Millisecond)
 	manager, err := jobs.New(jobs.Config{
-		Registry:       reg,
-		Cache:          cache,
-		DefaultSolver:  sv.Name(),
+		Engine:         eng,
 		Workers:        2,
 		QueueDepth:     8,
 		DefaultTimeout: 30 * time.Second,
@@ -70,15 +87,7 @@ func newJobsServer(t *testing.T, sv solver.Solver, store jobs.Store) (*jobs.Mana
 		defer cancel()
 		manager.Close(ctx)
 	})
-	srv, err := New(Config{
-		Registry:       reg,
-		Cache:          cache,
-		DefaultSolver:  sv.Name(),
-		DefaultTimeout: 30 * time.Millisecond,
-		MaxTimeout:     30 * time.Millisecond,
-		Jobs:           manager,
-		Version:        "test",
-	})
+	srv, err := New(Config{Engine: eng, Jobs: manager, Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +362,13 @@ func TestJobRestartServedFromStore(t *testing.T) {
 
 	// Restart: fresh cache, fresh manager, fresh server — same store. A
 	// solver that fails on contact proves nothing re-solves.
-	reg := solver.NewRegistry()
-	reg.Register("slow", func() solver.Solver { return failSolver{} })
-	manager2, err := jobs.New(jobs.Config{Registry: reg, DefaultSolver: "slow", Workers: 1, QueueDepth: 4, Store: store})
+	eng := solverEngine(t, failSolver{}, 0)
+	manager2, err := jobs.New(jobs.Config{Engine: eng, Workers: 1, QueueDepth: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer manager2.Close(ctx)
-	srv2, err := New(Config{Registry: reg, DefaultSolver: "slow", Jobs: manager2, Version: "test"})
+	srv2, err := New(Config{Engine: eng, Jobs: manager2, Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +388,7 @@ func TestShutdownEndsOpenSSEStreams(t *testing.T) {
 	sv := &slowSolver{ticks: 1000, tick: 50 * time.Millisecond} // effectively forever
 	manager, _ := newJobsServer(t, sv, nil)
 
-	reg := solver.NewRegistry()
-	reg.Register("slow", func() solver.Solver { return sv })
-	srv, err := New(Config{Registry: reg, DefaultSolver: "slow", Jobs: manager, Version: "test"})
+	srv, err := New(Config{Engine: solverEngine(t, sv, 0), Jobs: manager, Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}

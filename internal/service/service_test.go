@@ -15,6 +15,7 @@ import (
 
 	"crsharing/internal/algo/greedybalance"
 	"crsharing/internal/core"
+	"crsharing/internal/engine"
 	"crsharing/internal/solver"
 )
 
@@ -46,23 +47,30 @@ func (s *stubSolver) Solve(ctx context.Context, inst *core.Instance) (*core.Sche
 	return sched, solver.Stats{Solver: s.name, Elapsed: time.Microsecond}, err
 }
 
-// newTestServer builds a Server whose registry serves the given stub under
-// the name "stub" and returns it with its httptest frontend.
-func newTestServer(t *testing.T, stub *stubSolver, mutate func(*Config)) (*Server, *httptest.Server) {
+// newTestServer builds a Server over an engine whose registry serves the
+// given stub under the name "stub" and returns it with its httptest
+// frontend. mutate, when non-nil, adjusts the engine and server configs
+// before either is built.
+func newTestServer(t *testing.T, stub *stubSolver, mutate func(*engine.Config, *Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := solver.NewRegistry()
 	reg.Register("stub", func() solver.Solver { return stub })
-	cfg := Config{
+	ecfg := engine.Config{
 		Registry:       reg,
 		Cache:          solver.NewCache(4, 64),
 		DefaultSolver:  "stub",
 		DefaultTimeout: 5 * time.Second,
 		MaxTimeout:     10 * time.Second,
-		Version:        "test",
 	}
+	cfg := Config{Version: "test"}
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&ecfg, &cfg)
 	}
+	eng, err := engine.New(ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = eng
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +251,7 @@ func TestBatchSolveRoundTrip(t *testing.T) {
 
 func TestBatchSolveDeadlineMarksCancelled(t *testing.T) {
 	stub := &stubSolver{name: "stub", block: make(chan struct{})} // never released
-	_, ts := newTestServer(t, stub, func(cfg *Config) { cfg.MaxConcurrent = 1 })
+	_, ts := newTestServer(t, stub, func(ecfg *engine.Config, _ *Config) { ecfg.MaxConcurrent = 1 })
 
 	insts := make([]*core.Instance, 4)
 	for i := range insts {
@@ -338,7 +346,7 @@ func TestSolveCachedScheduleForPermutedInstance(t *testing.T) {
 
 func TestBatchSolveRejectsOversizedBatch(t *testing.T) {
 	stub := &stubSolver{name: "stub"}
-	_, ts := newTestServer(t, stub, func(cfg *Config) { cfg.MaxBatch = 2 })
+	_, ts := newTestServer(t, stub, func(_ *engine.Config, cfg *Config) { cfg.MaxBatch = 2 })
 	insts := []*core.Instance{testInstance(), testInstance(), testInstance()}
 	if resp, body := postJSON(t, ts.URL+"/v1/batch-solve", BatchRequest{Instances: insts}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
