@@ -380,27 +380,6 @@ func BenchmarkBranchBoundParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEach shards a batch of instances across the worker pool,
-// the experiment-scale throughput path of the solver subsystem.
-func BenchmarkParallelEach(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	var insts []*core.Instance
-	for i := 0; i < 32; i++ {
-		insts = append(insts, gen.Random(rng, 3, 8, 0.05, 1.0))
-	}
-	newSolver := func() solver.Solver { return solver.Adapt(greedybalance.New()) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		outcomes := solver.ParallelEach(context.Background(), newSolver, insts, 0)
-		for _, out := range outcomes {
-			if out.Err != nil {
-				b.Fatal(out.Err)
-			}
-		}
-	}
-}
-
 // BenchmarkFingerprint hashes a mid-size instance into its canonical
 // fingerprint, the memo-cache key computed on every serving-layer request.
 func BenchmarkFingerprint(b *testing.B) {

@@ -31,8 +31,6 @@
 //     the chunked heuristic and the configuration enumerations never won.
 //     The exact-only variant cancels the losers as soon as one exact member
 //     finishes.
-//   - ParallelEach: shards a batch of instances across a worker pool
-//     (GOMAXPROCS by default) for experiment-scale throughput.
 //
 // # Solve pipeline (internal/engine)
 //

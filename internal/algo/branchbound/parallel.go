@@ -87,7 +87,7 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 		return nil, err
 	}
 	if !inst.IsUnitSize() {
-		return nil, fmt.Errorf("branchbound: requires unit size jobs")
+		return nil, fmt.Errorf("branchbound: requires unit size jobs: %w", core.ErrUnsupported)
 	}
 	if inst.TotalJobs() == 0 {
 		return &core.Schedule{}, nil

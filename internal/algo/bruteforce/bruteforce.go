@@ -40,7 +40,7 @@ func Makespan(inst *core.Instance) (int, error) {
 		return 0, err
 	}
 	if !inst.IsUnitSize() {
-		return 0, fmt.Errorf("bruteforce: requires unit size jobs")
+		return 0, fmt.Errorf("bruteforce: requires unit size jobs: %w", core.ErrUnsupported)
 	}
 	s := &Solver{memo: make(map[string]int), inst: inst}
 	done := make([]int, inst.NumProcessors())

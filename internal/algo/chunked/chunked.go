@@ -52,7 +52,7 @@ func (s *Scheduler) ScheduleContext(ctx context.Context, inst *core.Instance) (*
 		return nil, err
 	}
 	if !inst.IsUnitSize() {
-		return nil, fmt.Errorf("chunked: requires unit size jobs")
+		return nil, fmt.Errorf("chunked: requires unit size jobs: %w", core.ErrUnsupported)
 	}
 	m := inst.NumProcessors()
 	n := inst.MaxJobs()

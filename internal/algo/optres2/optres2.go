@@ -88,10 +88,10 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		return nil, err
 	}
 	if inst.NumProcessors() != 2 {
-		return nil, fmt.Errorf("optres2: requires exactly 2 processors, got %d", inst.NumProcessors())
+		return nil, fmt.Errorf("optres2: requires exactly 2 processors, got %d: %w", inst.NumProcessors(), core.ErrUnsupported)
 	}
 	if !inst.IsUnitSize() {
-		return nil, fmt.Errorf("optres2: requires unit size jobs")
+		return nil, fmt.Errorf("optres2: requires unit size jobs: %w", core.ErrUnsupported)
 	}
 	moves, err := s.solve(inst)
 	if err != nil {
@@ -104,10 +104,10 @@ func (s *Scheduler) Schedule(inst *core.Instance) (*core.Schedule, error) {
 // schedule; it is used by scaling benchmarks.
 func (s *Scheduler) Makespan(inst *core.Instance) (int, error) {
 	if inst.NumProcessors() != 2 {
-		return 0, fmt.Errorf("optres2: requires exactly 2 processors, got %d", inst.NumProcessors())
+		return 0, fmt.Errorf("optres2: requires exactly 2 processors, got %d: %w", inst.NumProcessors(), core.ErrUnsupported)
 	}
 	if !inst.IsUnitSize() {
-		return 0, fmt.Errorf("optres2: requires unit size jobs")
+		return 0, fmt.Errorf("optres2: requires unit size jobs: %w", core.ErrUnsupported)
 	}
 	moves, err := s.solve(inst)
 	if err != nil {

@@ -46,14 +46,14 @@ func (s *ParallelScheduler) ScheduleContext(ctx context.Context, inst *core.Inst
 		return nil, err
 	}
 	if !inst.IsUnitSize() {
-		return nil, fmt.Errorf("optresm: requires unit size jobs")
+		return nil, fmt.Errorf("optresm: requires unit size jobs: %w", core.ErrUnsupported)
 	}
 	m := inst.NumProcessors()
 	if m == 0 || inst.TotalJobs() == 0 {
 		return &core.Schedule{}, nil
 	}
 	if m > MaxProcessors {
-		return nil, fmt.Errorf("optresm: %d processors exceeds the supported maximum of %d", m, MaxProcessors)
+		return nil, fmt.Errorf("optresm: %d processors exceeds the supported maximum of %d: %w", m, MaxProcessors, core.ErrUnsupported)
 	}
 	maxConfigs := s.MaxConfigs
 	if maxConfigs <= 0 {

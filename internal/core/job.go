@@ -194,6 +194,12 @@ func (in *Instance) ProcsWithAtLeast(j int) []int {
 	return procs
 }
 
+// ErrUnsupported marks an instance that lies in the model's domain but
+// outside an algorithm's: non-unit sizes for a unit-size kernel, the wrong
+// processor count. Kernels wrap it in their precondition errors, so callers
+// can tell a declined instance from a failed solve with errors.Is.
+var ErrUnsupported = errors.New("unsupported instance")
+
 // Validate checks that the instance lies in the model's domain: every job has
 // a requirement in [0,1] and a positive size.
 func (in *Instance) Validate() error {

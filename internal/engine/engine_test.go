@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"crsharing/internal/core"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
+	"crsharing/internal/stats"
 )
 
 // countingSolver tracks its concurrency high-water mark and optionally
@@ -117,7 +119,7 @@ func TestSolveSources(t *testing.T) {
 	if snap.SourceSolve != 1 || snap.SourceCache != 1 || snap.NodesTotal != 7 {
 		t.Fatalf("snapshot accounting wrong: %+v", snap)
 	}
-	if snap.SolveSeconds.Count != 1 || snap.SolveNodes.Count != 1 {
+	if snap.SolveSeconds.Count() != 1 || snap.SolveNodes.Count() != 1 {
 		t.Fatalf("histograms missed the fresh solve: %+v", snap)
 	}
 }
@@ -521,20 +523,38 @@ func TestSolveWithoutCache(t *testing.T) {
 	}
 }
 
+// TestHistogramCumulativeBuckets checks what feeds the solve histograms:
+// fresh solves observe their duration and node count, cache replays and
+// failures do not, and the cumulative decade buckets count each solve at
+// and above its own bound.
 func TestHistogramCumulativeBuckets(t *testing.T) {
-	h := newHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 5, 50, 500} {
-		h.Observe(v)
+	m := newMetrics()
+	for _, s := range []struct {
+		elapsed time.Duration
+		nodes   int64
+	}{{500 * time.Microsecond, 0}, {5 * time.Millisecond, 50}, {5 * time.Millisecond, 5000}} {
+		m.observe("t", solver.SourceSolve, &solver.Evaluation{Stats: solver.Stats{Elapsed: s.elapsed, Nodes: s.nodes}}, nil, 0)
 	}
-	snap := h.Snapshot()
-	want := []uint64{1, 3, 4}
-	for i, w := range want {
-		if snap.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (%+v)", i, snap.Counts[i], w, snap)
+	m.observe("t", solver.SourceCache, &solver.Evaluation{Stats: solver.Stats{Elapsed: time.Second, Nodes: 1}}, nil, 0)
+	m.observe("t", solver.SourceSolve, nil, errors.New("boom"), 0)
+	for _, c := range []struct {
+		h    *stats.Histogram
+		want map[float64]uint64
+	}{
+		{&m.solveSeconds, map[float64]uint64{1e-4: 0, 1e-3: 1, 1e-2: 3, 1: 3}},
+		{&m.solveNodes, map[float64]uint64{1e-6: 1, 10: 1, 100: 2, 1e4: 3}},
+	} {
+		for _, b := range c.h.Decades() {
+			if want, ok := c.want[b.Hi]; ok && b.Count != want {
+				t.Fatalf("le=%g counts %d, want %d (%+v)", b.Hi, b.Count, want, c.h.Decades())
+			}
+		}
+		if c.h.Count() != 3 {
+			t.Fatalf("histogram count %d, want the 3 fresh solves", c.h.Count())
 		}
 	}
-	if snap.Count != 5 || snap.Sum != 560.5 {
-		t.Fatalf("sum/count wrong: %+v", snap)
+	if got := m.solveSeconds.Sum(); math.Abs(got-0.0105) > 1e-12 {
+		t.Fatalf("solve seconds sum %g, want 0.0105", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"crsharing/internal/core"
 	"crsharing/internal/solver"
+	"crsharing/internal/stats"
 )
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
@@ -106,57 +107,6 @@ func newTelemetry(solverName string, ev *solver.Evaluation, src solver.Source, i
 	return t
 }
 
-// Histogram is a snapshot of a fixed-bucket histogram: Counts[i] observations
-// fell at or below Bounds[i]; Counts[len(Bounds)] is the overflow bucket.
-// Counts are cumulative like Prometheus "le" buckets.
-type Histogram struct {
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// histogram is the live, concurrency-safe accumulator behind Histogram.
-type histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // per-bucket (non-cumulative), last = overflow
-	sum    atomicFloat
-	count  atomic.Uint64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-func (h *histogram) Observe(v float64) {
-	idx := len(h.bounds)
-	for i, b := range h.bounds {
-		if v <= b {
-			idx = i
-			break
-		}
-	}
-	h.counts[idx].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// Snapshot returns the cumulative view.
-func (h *histogram) Snapshot() Histogram {
-	out := Histogram{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    h.sum.Load(),
-		Count:  h.count.Load(),
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		out.Counts[i] = cum
-	}
-	return out
-}
-
 // atomicFloat is an atomic float64 accumulator (CAS on the bit pattern).
 type atomicFloat struct{ bits atomic.Uint64 }
 
@@ -185,8 +135,8 @@ type metrics struct {
 	nodesTotal      atomic.Int64
 	incumbentsTotal atomic.Int64
 	queueSeconds    atomicFloat
-	solveSeconds    *histogram
-	solveNodes      *histogram
+	solveSeconds    stats.Histogram
+	solveNodes      stats.Histogram
 
 	tmu     sync.Mutex
 	tenants map[string]*tenantCounters
@@ -256,27 +206,16 @@ type Snapshot struct {
 	// acquirers.
 	Inflight int64
 	Waiting  int
-	// SolveSeconds / SolveNodes are the per-fresh-solve duration and
-	// search-size distributions.
-	SolveSeconds Histogram
-	SolveNodes   Histogram
+	// SolveSeconds / SolveNodes are the live (not copied) per-fresh-solve
+	// duration and search-size distributions.
+	SolveSeconds *stats.Histogram
+	SolveNodes   *stats.Histogram
 	// Tenants is the per-tenant accounting, keyed by tenant name.
 	Tenants map[string]TenantSnapshot
 }
 
-// solveSecondsBuckets spans sub-millisecond heuristic solves up to the 2m
-// default deadline ceiling.
-var solveSecondsBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30, 120}
-
-// solveNodesBuckets spans trivial instances up to the default node limit.
-var solveNodesBuckets = []float64{1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
-
 func newMetrics() *metrics {
-	return &metrics{
-		solveSeconds: newHistogram(solveSecondsBuckets),
-		solveNodes:   newHistogram(solveNodesBuckets),
-		tenants:      make(map[string]*tenantCounters),
-	}
+	return &metrics{tenants: make(map[string]*tenantCounters)}
 }
 
 // observe records one finished request. Only fresh solves contribute to the
@@ -345,8 +284,8 @@ func (e *Engine) Snapshot() Snapshot {
 		QueueSeconds:    e.met.queueSeconds.Load(),
 		Inflight:        e.sem.InUse(),
 		Waiting:         e.sem.Waiting(),
-		SolveSeconds:    e.met.solveSeconds.Snapshot(),
-		SolveNodes:      e.met.solveNodes.Snapshot(),
+		SolveSeconds:    &e.met.solveSeconds,
+		SolveNodes:      &e.met.solveNodes,
 		Tenants:         make(map[string]TenantSnapshot),
 	}
 	e.met.tmu.Lock()

@@ -48,9 +48,9 @@
 //     driver shards, scrapes /metrics once around the whole fleet, and
 //     merges the shard reports. MergeReports (report.go) also pools report
 //     JSONs from separate processes: counts add exactly, and latency
-//     quantiles are re-estimated from merged fixed-bounds log-domain
-//     histograms (stats.Histogram.Merge), so distribution merging is exact
-//     rather than approximated from summaries.
+//     quantiles are re-estimated from the merged log-bucket histograms
+//     (stats.Histogram.Merge, one fixed layout), so distribution merging is
+//     exact rather than approximated from summaries.
 //
 //   - SLO (slo.go): a strict declarative spec — per-class P99 ceilings,
 //     shed-rate cap, cache-hit floor, zero oracle violations, a minimum

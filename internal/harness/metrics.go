@@ -1,11 +1,13 @@
 package harness
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"strconv"
 	"strings"
+
+	"crsharing/internal/promtext"
 )
 
 // MetricsSnapshot is a parsed /metrics scrape: sample name to value. Only
@@ -24,27 +26,13 @@ func ScrapeMetrics(client *http.Client, url string) (MetricsSnapshot, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("harness: scraping %s: status %s", url, resp.Status)
 	}
-	snap := make(MetricsSnapshot)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 || strings.Contains(fields[0], "{") {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		snap[fields[0]] = v
-	}
-	if err := sc.Err(); err != nil {
+	// Only the values matter here; format errors are the servers' tests' job.
+	samples, err := promtext.Parse(resp.Body)
+	if err != nil && !errors.Is(err, promtext.ErrFormat) {
 		return nil, fmt.Errorf("harness: scraping %s: %w", url, err)
 	}
-	return snap, nil
+	maps.DeleteFunc(samples, func(series string, _ float64) bool { return strings.Contains(series, "{") })
+	return samples, nil
 }
 
 // scrapeAll scrapes every URL and sums the samples into one snapshot. All the

@@ -11,27 +11,10 @@ import (
 	"crsharing/internal/stats"
 )
 
-// The per-class latency histograms use a fixed log10(ms) domain so the
-// histograms of any two runs — different shards, different processes,
-// different machines — always share bounds and merge exactly. The range spans
-// 10µs to 100s at 0.05 decades per bucket (≈12% relative width), which is
-// finer than any latency SLO this harness gates.
-const (
-	latHistLo      = -2.0 // 10^-2 ms = 10µs
-	latHistHi      = 5.0  // 10^5 ms = 100s
-	latHistBuckets = 140
-)
-
-// newLatencyHistogram returns an empty histogram over the canonical log10(ms)
-// latency domain.
-func newLatencyHistogram() *stats.Histogram {
-	return stats.NewHistogram(latHistLo, latHistHi, latHistBuckets)
-}
-
 // LatencySummary is a latency distribution in milliseconds. For a single run
 // the quantiles are exact (read off the raw samples); for a merged report
-// they are re-estimated from the merged histogram, within one bucket width
-// (≈12% relative).
+// they are re-estimated from the merged histogram, within one bucket (≈12%
+// relative).
 type LatencySummary struct {
 	Count  int     `json:"count"`
 	MeanMS float64 `json:"mean_ms"`
@@ -40,9 +23,9 @@ type LatencySummary struct {
 	P90MS  float64 `json:"p90_ms"`
 	P99MS  float64 `json:"p99_ms"`
 	MaxMS  float64 `json:"max_ms"`
-	// Hist is the structured sample histogram over the canonical log10(ms)
-	// domain — the mergeable representation that lets -merge pool the
-	// latency distributions of shard reports exactly.
+	// Hist is the sample histogram in milliseconds — the mergeable
+	// representation that lets -merge pool the latency distributions of
+	// shard reports exactly.
 	Hist *stats.Histogram `json:"hist,omitempty"`
 	// Histogram is the human-readable rendering of Hist (empty when there
 	// are no samples); it renders under the summary line in text reports.
@@ -50,7 +33,7 @@ type LatencySummary struct {
 }
 
 // summarizeLatency folds millisecond samples into a LatencySummary with exact
-// quantiles and the canonical mergeable histogram.
+// quantiles and the mergeable histogram.
 func summarizeLatency(ms []float64) LatencySummary {
 	s := stats.Summarize(ms)
 	out := LatencySummary{
@@ -63,23 +46,14 @@ func summarizeLatency(ms []float64) LatencySummary {
 		MaxMS:  s.Max,
 	}
 	if s.Count > 0 {
-		h := newLatencyHistogram()
+		h := new(stats.Histogram)
 		for _, x := range ms {
-			h.Add(logMS(x))
+			h.Observe(x)
 		}
 		out.Hist = h
 		out.Histogram = renderLatencyHistogram(h)
 	}
 	return out
-}
-
-// logMS maps a millisecond sample into the histogram's log domain;
-// non-positive samples (sub-nanosecond clock noise) clamp to the low edge.
-func logMS(ms float64) float64 {
-	if ms <= 0 {
-		return latHistLo
-	}
-	return math.Log10(ms)
 }
 
 // mergeLatency pools two summaries: counts, mean, min and max merge exactly;
@@ -101,15 +75,15 @@ func mergeLatency(a, b LatencySummary) (LatencySummary, error) {
 	if a.Hist == nil || b.Hist == nil {
 		return LatencySummary{}, errors.New("harness: latency summary carries no histogram; reports predating the shard format cannot be merged")
 	}
-	h := a.Hist.Clone()
-	if err := h.Merge(b.Hist); err != nil {
+	h := new(stats.Histogram)
+	if err := errors.Join(h.Merge(a.Hist), h.Merge(b.Hist)); err != nil {
 		return LatencySummary{}, fmt.Errorf("harness: merging latency histograms: %w", err)
 	}
 	out.Hist = h
 	// Quantile estimates interpolate inside a bucket, so they can poke past
 	// the true extremes; the exact pooled min/max are known, so clamp.
 	clamp := func(q float64) float64 {
-		return math.Min(math.Max(math.Pow(10, h.Quantile(q)), out.MinMS), out.MaxMS)
+		return math.Min(math.Max(h.Quantile(q), out.MinMS), out.MaxMS)
 	}
 	out.P50MS = clamp(0.50)
 	out.P90MS = clamp(0.90)
@@ -118,61 +92,26 @@ func mergeLatency(a, b LatencySummary) (LatencySummary, error) {
 	return out, nil
 }
 
-// renderLatencyHistogram renders the log-domain histogram as an ASCII bar
-// chart with millisecond labels, coalescing the occupied buckets into at most
-// 16 display rows.
+// renderLatencyHistogram renders the histogram as an ASCII bar chart with
+// millisecond labels, coalescing the occupied buckets into at most 16 rows.
 func renderLatencyHistogram(h *stats.Histogram) string {
-	first, last := -1, -1
-	for i, c := range h.Buckets {
-		if c > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
+	buckets := h.Buckets()
+	group := (len(buckets) + 15) / 16
+	var rows []stats.Bucket
+	var maxCount uint64 = 1
+	for i := 0; i < len(buckets); i += group {
+		row := stats.Bucket{Lo: buckets[i].Lo}
+		for _, b := range buckets[i:min(i+group, len(buckets))] {
+			row.Hi = b.Hi
+			row.Count += b.Count
 		}
-	}
-	if first < 0 {
-		return ""
-	}
-	const maxRows = 16
-	group := (last - first + maxRows) / maxRows // ceil(span/maxRows)
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	var rows []struct {
-		lo, hi float64
-		count  int
-	}
-	maxCount := 1
-	for i := first; i <= last; i += group {
-		end := i + group
-		if end > last+1 {
-			end = last + 1
-		}
-		count := 0
-		for j := i; j < end; j++ {
-			count += h.Buckets[j]
-		}
-		rows = append(rows, struct {
-			lo, hi float64
-			count  int
-		}{
-			lo:    math.Pow(10, h.Lo+float64(i)*width),
-			hi:    math.Pow(10, h.Lo+float64(end)*width),
-			count: count,
-		})
-		if count > maxCount {
-			maxCount = count
-		}
+		rows = append(rows, row)
+		maxCount = max(maxCount, row.Count)
 	}
 	var b strings.Builder
 	for _, r := range rows {
-		bar := strings.Repeat("#", r.count*40/maxCount)
-		fmt.Fprintf(&b, "[%9.3f, %9.3f) ms %6d %s\n", r.lo, r.hi, r.count, bar)
-	}
-	if h.Underflow > 0 {
-		fmt.Fprintf(&b, "underflow %d\n", h.Underflow)
-	}
-	if h.Overflow > 0 {
-		fmt.Fprintf(&b, "overflow %d\n", h.Overflow)
+		bar := strings.Repeat("#", int(r.Count*40/maxCount))
+		fmt.Fprintf(&b, "(%9.3f, %9.3f] ms %6d %s\n", r.Lo, r.Hi, r.Count, bar)
 	}
 	return b.String()
 }
@@ -252,10 +191,11 @@ func mergeTenantStats(a, b *TenantStats) (*TenantStats, error) {
 
 // MergeReports pools shard reports into one fleet report: counts, oracle
 // verdicts, telemetry and cache accounting add exactly; latency quantiles are
-// re-estimated from the merged histograms (the canonical log-domain bounds
-// make every pair of reports mergeable — a bounds mismatch is a typed error,
-// never a silent misbin). Rates add (shards split one offered load),
-// durations take the maximum (shards run concurrently), and throughput is
+// re-estimated from the merged histograms (the one fixed histogram layout
+// makes every pair of reports mergeable — a report decoded with a foreign
+// layout fails with a typed error, never a silent misbin). Rates add
+// (shards split one offered load), durations take the maximum (shards run
+// concurrently), and throughput is
 // recomputed from the pooled totals. For in-process shards sharing one
 // server, RunFleet overwrites Cache/MetricsDelta with a single whole-fleet
 // scrape; for cross-process merges the per-report deltas add, which is

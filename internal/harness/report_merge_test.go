@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -45,8 +46,8 @@ func TestMergeLatencyMatchesPooled(t *testing.T) {
 		t.Errorf("merged min/max %v/%v, want %v/%v", merged.MinMS, merged.MaxMS, pooled.MinMS, pooled.MaxMS)
 	}
 	// Quantiles re-estimated from the merged histogram: within one bucket of
-	// the exact sample quantile, i.e. a factor of 10^(bucket width) in ms.
-	tol := math.Pow(10, (latHistHi-latHistLo)/latHistBuckets)
+	// the exact sample quantile, i.e. a factor of 10^(1/20).
+	tol := math.Pow(10, 1.0/20)
 	for _, q := range []struct {
 		name           string
 		merged, pooled float64
@@ -60,22 +61,24 @@ func TestMergeLatencyMatchesPooled(t *testing.T) {
 			t.Errorf("%s: merged %v vs pooled %v (ratio %v beyond bucket factor %v)", q.name, q.merged, q.pooled, ratio, tol)
 		}
 	}
-	if merged.Hist.Total() != pooled.Hist.Total() {
-		t.Errorf("merged histogram total %d, want %d", merged.Hist.Total(), pooled.Hist.Total())
+	if merged.Hist.Count() != pooled.Hist.Count() {
+		t.Errorf("merged histogram count %d, want %d", merged.Hist.Count(), pooled.Hist.Count())
 	}
 }
 
-// TestMergeLatencyBoundsMismatch checks a foreign-bounds histogram surfaces
-// the typed stats error instead of misbinning.
+// TestMergeLatencyBoundsMismatch checks a histogram decoded from a foreign
+// layout (here the fixed-width log10 form older reports carry) surfaces the
+// typed stats error instead of misbinning.
 func TestMergeLatencyBoundsMismatch(t *testing.T) {
 	a := summarizeLatency([]float64{1, 2, 3})
-	b := summarizeLatency([]float64{4, 5, 6})
-	b.Hist = stats.NewHistogram(0, 1, 10)
-	b.Hist.Add(0.5)
+	var b LatencySummary
+	if err := json.Unmarshal([]byte(`{"count":3,"mean_ms":5,"min_ms":4,"max_ms":6,"hist":{"lo":-2,"hi":5,"buckets":[0,3]}}`), &b); err != nil {
+		t.Fatal(err)
+	}
 	_, err := mergeLatency(a, b)
-	var bm *stats.BoundsMismatchError
-	if !errors.As(err, &bm) {
-		t.Fatalf("mismatched bounds merged without the typed error: %v", err)
+	var lm *stats.LayoutMismatchError
+	if !errors.As(err, &lm) {
+		t.Fatalf("foreign layout merged without the typed error: %v", err)
 	}
 }
 
@@ -227,7 +230,7 @@ func TestLatencyHistogramRender(t *testing.T) {
 		t.Fatalf("histogram rendered %d rows", len(lines))
 	}
 	for _, line := range lines {
-		if !strings.Contains(line, ") ms") {
+		if !strings.Contains(line, "] ms") {
 			t.Fatalf("histogram row missing ms label: %q", line)
 		}
 	}

@@ -1,9 +1,10 @@
 package router
 
 import (
-	"fmt"
 	"net/http"
 	"sync/atomic"
+
+	"crsharing/internal/promtext"
 )
 
 // routerMetrics holds the router's own counters and gauges, distinct from the
@@ -30,24 +31,19 @@ type routerMetrics struct {
 // same dialect as the backends' /metrics.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.m.requests.Add(1)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
+	w.Header().Set("Content-Type", promtext.ContentType)
+	p := promtext.Writer{W: w}
 	m := &rt.m
-	counter("crrouter_requests_total", "Requests accepted by the router.", m.requests.Load())
-	counter("crrouter_routed_solve_total", "Solve requests routed by fingerprint.", m.routedSolve.Load())
-	counter("crrouter_routed_batch_total", "Batch requests routed (split or whole).", m.routedBatch.Load())
-	counter("crrouter_routed_jobs_total", "Job requests routed or located.", m.routedJobs.Load())
-	counter("crrouter_forwarded_owner_total", "Requests routed to a non-owner carrying the owner header.", m.forwardedOwner.Load())
-	counter("crrouter_batch_splits_total", "Batches split across more than one backend.", m.batchSplits.Load())
-	counter("crrouter_retries_total", "Transport failures retried on a different backend.", m.retries.Load())
-	counter("crrouter_errors_total", "Requests the router itself answered with a 5xx.", m.errors.Load())
-	counter("crrouter_ejections_total", "Backends ejected from the ring after consecutive failures.", m.ejections.Load())
-	counter("crrouter_readmissions_total", "Ejected backends re-admitted after a successful probe.", m.readmissions.Load())
-	gauge("crrouter_backends_healthy", "Backends currently in the owner ring.", m.backendsHealthy.Load())
-	gauge("crrouter_backends_draining", "Healthy backends currently draining.", m.backendsDraining.Load())
+	p.Counter("crrouter_requests_total", "Requests accepted by the router.", float64(m.requests.Load()))
+	p.Counter("crrouter_routed_solve_total", "Solve requests routed by fingerprint.", float64(m.routedSolve.Load()))
+	p.Counter("crrouter_routed_batch_total", "Batch requests routed (split or whole).", float64(m.routedBatch.Load()))
+	p.Counter("crrouter_routed_jobs_total", "Job requests routed or located.", float64(m.routedJobs.Load()))
+	p.Counter("crrouter_forwarded_owner_total", "Requests routed to a non-owner carrying the owner header.", float64(m.forwardedOwner.Load()))
+	p.Counter("crrouter_batch_splits_total", "Batches split across more than one backend.", float64(m.batchSplits.Load()))
+	p.Counter("crrouter_retries_total", "Transport failures retried on a different backend.", float64(m.retries.Load()))
+	p.Counter("crrouter_errors_total", "Requests the router itself answered with a 5xx.", float64(m.errors.Load()))
+	p.Counter("crrouter_ejections_total", "Backends ejected from the ring after consecutive failures.", float64(m.ejections.Load()))
+	p.Counter("crrouter_readmissions_total", "Ejected backends re-admitted after a successful probe.", float64(m.readmissions.Load()))
+	p.Gauge("crrouter_backends_healthy", "Backends currently in the owner ring.", float64(m.backendsHealthy.Load()))
+	p.Gauge("crrouter_backends_draining", "Healthy backends currently draining.", float64(m.backendsDraining.Load()))
 }

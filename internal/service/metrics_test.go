@@ -2,25 +2,23 @@ package service
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
+	"crsharing/internal/promtext"
 	"crsharing/internal/solver"
 )
 
 // TestMetricsExpositionFormat pins the /metrics contract: the Prometheus
-// text exposition content type (version 0.0.4) and, for every sample, a
-// preceding # HELP and # TYPE line declaring a valid metric type. Histogram
-// samples (the engine's solve duration and search-size distributions) are
-// declared under their base name and expose cumulative le-labelled buckets
-// plus _sum and _count. The job gauges must be present when a job manager
+// text exposition content type (version 0.0.4) and the format rules
+// promtext.Parse checks — every sample preceded by the # HELP and # TYPE
+// lines of its metric, histogram samples (the engine's solve duration and
+// search-size distributions) declared under their base name with
+// cumulative le-labelled buckets plus _sum and _count. The job gauges must be present when a job manager
 // is configured.
 func TestMetricsExpositionFormat(t *testing.T) {
 	reg := solver.NewRegistry()
@@ -65,64 +63,12 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != "text/plain; version=0.0.4; charset=utf-8" {
+	if got := resp.Header.Get("Content-Type"); got != promtext.ContentType {
 		t.Fatalf("content type %q, want the Prometheus 0.0.4 text format", got)
 	}
-	body, err := io.ReadAll(resp.Body)
+	samples, err := promtext.Parse(resp.Body)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	help := map[string]bool{}
-	typed := map[string]bool{}
-	samples := map[string]float64{}
-	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			rest := strings.TrimPrefix(line, "# HELP ")
-			name, doc, ok := strings.Cut(rest, " ")
-			if !ok || doc == "" {
-				t.Fatalf("HELP line without docstring: %q", line)
-			}
-			help[name] = true
-		case strings.HasPrefix(line, "# TYPE "):
-			rest := strings.TrimPrefix(line, "# TYPE ")
-			name, kind, ok := strings.Cut(rest, " ")
-			if !ok || (kind != "counter" && kind != "gauge" && kind != "histogram") {
-				t.Fatalf("TYPE line with invalid type: %q", line)
-			}
-			typed[name] = true
-		case strings.HasPrefix(line, "#"):
-			t.Fatalf("unexpected comment line: %q", line)
-		case line == "":
-			t.Fatal("blank line in exposition output")
-		default:
-			name, value, ok := strings.Cut(line, " ")
-			if !ok {
-				t.Fatalf("malformed sample line: %q", line)
-			}
-			v, err := strconv.ParseFloat(value, 64)
-			if err != nil {
-				t.Fatalf("sample %q has non-numeric value: %v", line, err)
-			}
-			// Histogram series samples are declared under the base name:
-			// name_bucket{le="..."}, name_sum and name_count all belong to
-			// the histogram declared as "name".
-			base := name
-			if idx := strings.IndexByte(base, '{'); idx >= 0 {
-				base = base[:idx]
-			}
-			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-				if trimmed := strings.TrimSuffix(base, suffix); trimmed != base && typed[trimmed] {
-					base = trimmed
-					break
-				}
-			}
-			if !help[base] || !typed[base] {
-				t.Fatalf("sample %q not preceded by its HELP and TYPE lines", name)
-			}
-			samples[name] = v
-		}
 	}
 
 	for _, want := range []string{
@@ -146,6 +92,8 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"crsharing_engine_solve_duration_seconds_count",
 		"crsharing_engine_solve_nodes_sum",
 		"crsharing_engine_solve_nodes_count",
+		`crsharing_engine_solve_duration_seconds_bucket{le="+Inf"}`,
+		`crsharing_engine_solve_nodes_bucket{le="1e-06"}`,
 		"crsharing_jobs_queue_depth",
 		"crsharing_jobs_queue_capacity",
 		"crsharing_jobs_running",

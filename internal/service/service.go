@@ -40,8 +40,10 @@ import (
 	"sync"
 	"time"
 
+	"crsharing/internal/core"
 	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
+	"crsharing/internal/promtext"
 )
 
 // Config configures a Server. The zero value of every optional field is
@@ -243,6 +245,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("solve exceeded its %s deadline", s.eng.Limits().Resolve(timeout)))
 			return
 		}
+		if errors.Is(err, core.ErrUnsupported) {
+			s.fail(w, http.StatusUnprocessableEntity, err)
+			return
+		}
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -382,7 +388,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requestsOther.Add(1)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", promtext.ContentType)
 	s.metrics.write(w, s.eng, s.cfg.Jobs, time.Since(s.started))
 }
 

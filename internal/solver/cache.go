@@ -92,7 +92,7 @@ type cacheShard struct {
 
 // negEntry is one remembered failure.
 type negEntry struct {
-	msg     string
+	err     error
 	expires time.Time
 }
 
@@ -211,7 +211,7 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 			if c.negTTL.Load() > 0 && time.Now().Before(ne.expires) {
 				sh.mu.Unlock()
 				c.negHits.Add(1)
-				return nil, SourceNegative, &CachedFailure{Msg: ne.msg}
+				return nil, SourceNegative, &CachedFailure{Msg: ne.err.Error(), err: ne.err}
 			}
 			delete(sh.negative, key) // expired (or negative caching turned off)
 		}
@@ -265,10 +265,17 @@ func (c *Cache) EvaluateWithFingerprint(ctx context.Context, s Solver, inst *cor
 }
 
 // CachedFailure is the error a negative-cache hit replays: the message of
-// the original deterministic failure, answered without re-solving.
-type CachedFailure struct{ Msg string }
+// the original deterministic failure, answered without re-solving. It
+// unwraps to the original error, so errors.Is (core.ErrUnsupported, say)
+// answers as it did for the first failure.
+type CachedFailure struct {
+	Msg string
+	err error
+}
 
 func (e *CachedFailure) Error() string { return e.Msg }
+
+func (e *CachedFailure) Unwrap() error { return e.err }
 
 // transientError reports whether a solve error is tied to this caller rather
 // than the instance: context cancellation/expiry, or an admission shed
@@ -301,7 +308,7 @@ func (s *cacheShard) storeNegativeLocked(key CacheKey, err error, expires time.T
 			delete(s.negative, k)
 		}
 	}
-	s.negative[key] = negEntry{msg: err.Error(), expires: expires}
+	s.negative[key] = negEntry{err: err, expires: expires}
 }
 
 // remapEvaluation adapts a stored evaluation to the requesting instance:

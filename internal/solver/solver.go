@@ -2,8 +2,8 @@
 // a single context-aware interface and adds the concurrency layer on top of
 // it: a registry the CLIs select solvers from, a parallel portfolio runner
 // that races several solvers on one instance and keeps the best schedule, and
-// a ParallelEach helper that shards a batch of instances across a worker
-// pool for experiment-scale throughput.
+// the memo cache. Batches fan out through engine.SolveEach, which shares the
+// engine's admission and cache with single solves.
 //
 // The packages under internal/algo stay synchronous and single-purpose; this
 // package adapts them (algo.Scheduler -> Solver) and recognises the ones that

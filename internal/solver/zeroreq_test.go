@@ -2,8 +2,8 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -27,26 +27,24 @@ func zeroReqInstance(rng *rand.Rand) *core.Instance {
 	return core.NewInstance(rows...)
 }
 
-// isPrecondition reports whether err is a solver declining an instance it
-// does not support (processor count, job sizes), not a failure to solve it.
-func isPrecondition(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "requires") || strings.Contains(msg, "exceeds the supported maximum")
-}
-
 // TestZeroRequirementJobsAcrossSolvers pins one meaning for req = 0: every
 // registered solver either returns a schedule that core.Execute finishes or
 // declines the instance with a precondition error. The two fixed instances
 // once left a trailing zero-requirement job unfinished in GreedyBalance and,
-// through its seed schedule, in the anytime tier and branch-and-bound.
+// through its seed schedule, in the anytime tier and branch-and-bound. The
+// 1e-300 instances pin the same answer for requirements and sizes that are
+// positive but negligible.
 func TestZeroRequirementJobsAcrossSolvers(t *testing.T) {
 	insts := []*core.Instance{
 		core.NewInstance([]float64{0.5, 0}, []float64{0.5}),
 		core.NewInstance([]float64{0.6509}, []float64{0.1274, 0.6667, 0}),
 		core.NewInstance([]float64{0, 0}, []float64{0}),
+		core.NewInstance([]float64{0.5, 1e-300}, []float64{1e-300}),
+		{Procs: [][]core.Job{{{Req: 0.5, Size: 1e-300}, core.UnitJob(0.5)}, {{Req: 1, Size: 1e-300}}}},
+		{Procs: [][]core.Job{{{Req: 1e-300, Size: 1e-300}}, {core.UnitJob(0.7)}}},
 	}
 	rng := rand.New(rand.NewSource(0))
-	for len(insts) < 60 {
+	for len(insts) < 63 {
 		insts = append(insts, zeroReqInstance(rng))
 	}
 	reg := Default()
@@ -60,7 +58,7 @@ func TestZeroRequirementJobsAcrossSolvers(t *testing.T) {
 			sched, _, err := s.Solve(ctx, inst)
 			cancel()
 			if err != nil {
-				if !isPrecondition(err) {
+				if !errors.Is(err, core.ErrUnsupported) {
 					t.Errorf("instance %d %v: %s: %v", ci, inst.Procs, name, err)
 				}
 				continue

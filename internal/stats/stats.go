@@ -1,15 +1,15 @@
 // Package stats provides the small set of descriptive statistics used by the
 // experiment harness and the simulator reports: means, standard deviations,
-// quantiles, min/max, and fixed-width histograms. It exists so that the
-// experiments can summarise ratio distributions without pulling in external
-// dependencies.
+// quantiles, min/max, and the one mergeable log-bucket Histogram that the
+// engine's /metrics and crload's latency reports share. It exists so that
+// the experiments can summarise ratio distributions without pulling in
+// external dependencies.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds the descriptive statistics of a sample.
@@ -164,152 +164,4 @@ func MergeSummaries(a, b Summary) Summary {
 		out.StdDev = math.Sqrt(m2 / float64(out.Count-1))
 	}
 	return out
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo      float64 `json:"lo"`
-	Hi      float64 `json:"hi"`
-	Buckets []int   `json:"buckets"`
-	// Underflow and Overflow count samples outside [Lo, Hi); Add never drops
-	// a sample silently.
-	Underflow int `json:"underflow,omitempty"`
-	Overflow  int `json:"overflow,omitempty"`
-}
-
-// NewHistogram returns a histogram with the given number of equal-width
-// buckets covering [lo, hi). It panics if hi ≤ lo or buckets < 1 (programming
-// errors).
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if hi <= lo || buckets < 1 {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.Underflow++
-		return
-	}
-	if x >= h.Hi {
-		h.Overflow++
-		return
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-}
-
-// BoundsMismatchError reports a Histogram.Merge whose operands do not share
-// bounds and bucket count. Merging such histograms would silently misbin every
-// sample of the other run, so the merge refuses instead.
-type BoundsMismatchError struct {
-	ALo, AHi float64
-	ABuckets int
-	BLo, BHi float64
-	BBuckets int
-}
-
-func (e *BoundsMismatchError) Error() string {
-	return fmt.Sprintf("stats: histogram bounds mismatch: [%g, %g)/%d vs [%g, %g)/%d",
-		e.ALo, e.AHi, e.ABuckets, e.BLo, e.BHi, e.BBuckets)
-}
-
-// Merge folds o into h. Bucket, underflow and overflow counts add exactly, so
-// merging the histograms of K disjoint shards equals building one histogram
-// over the pooled samples. The histograms must share Lo, Hi and bucket count;
-// otherwise Merge returns a *BoundsMismatchError and leaves h unchanged.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Buckets) != len(o.Buckets) {
-		return &BoundsMismatchError{
-			ALo: h.Lo, AHi: h.Hi, ABuckets: len(h.Buckets),
-			BLo: o.Lo, BHi: o.Hi, BBuckets: len(o.Buckets),
-		}
-	}
-	for i, c := range o.Buckets {
-		h.Buckets[i] += c
-	}
-	h.Underflow += o.Underflow
-	h.Overflow += o.Overflow
-	return nil
-}
-
-// Clone returns a deep copy of the histogram.
-func (h *Histogram) Clone() *Histogram {
-	out := *h
-	out.Buckets = append([]int(nil), h.Buckets...)
-	return &out
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts with
-// linear interpolation inside the selected bucket, so the estimate is within
-// one bucket width of the exact sample quantile. Underflow mass is treated as
-// sitting at Lo and overflow mass at Hi. An empty histogram yields 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := float64(h.Underflow)
-	if rank <= cum {
-		return h.Lo
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			frac := (rank - cum) / float64(c)
-			return h.Lo + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.Hi
-}
-
-// Total returns the number of recorded samples, including under- and
-// overflow.
-func (h *Histogram) Total() int {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// String renders the histogram as an ASCII bar chart, one bucket per line.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxCount := 1
-	for _, c := range h.Buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		lo := h.Lo + float64(i)*width
-		bar := strings.Repeat("#", c*40/maxCount)
-		fmt.Fprintf(&b, "[%7.3f, %7.3f) %6d %s\n", lo, lo+width, c, bar)
-	}
-	if h.Underflow > 0 {
-		fmt.Fprintf(&b, "underflow %d\n", h.Underflow)
-	}
-	if h.Overflow > 0 {
-		fmt.Fprintf(&b, "overflow %d\n", h.Overflow)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -136,177 +135,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatalf("monotonicity violated: %v", err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	for _, x := range []float64{0.1, 0.1, 0.3, 0.6, 0.9, -0.5, 1.5} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d, want 7", h.Total())
-	}
-	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[2] != 1 || h.Buckets[3] != 1 {
-		t.Fatalf("buckets = %v", h.Buckets)
-	}
-	if h.Underflow != 1 || h.Overflow != 1 {
-		t.Fatalf("under/over = %d/%d", h.Underflow, h.Overflow)
-	}
-	out := h.String()
-	if !strings.Contains(out, "underflow 1") || !strings.Contains(out, "overflow 1") {
-		t.Fatalf("rendering missing overflow lines:\n%s", out)
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
-func TestHistogramEdgeBucket(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	h.Add(0.9999999999)
-	sum := 0
-	for _, c := range h.Buckets {
-		sum += c
-	}
-	if sum != 1 || h.Overflow != 0 {
-		t.Fatalf("sample just below Hi must land in the last bucket")
-	}
-}
-
-// TestHistogramMergeMatchesPooled is the shard-merge property: merging K
-// disjoint shard histograms equals building one histogram over the pooled
-// samples — Total, bucket counts and under/overflow exact — and the merged
-// quantile estimates land within one bucket width of the exact sample
-// quantiles.
-func TestHistogramMergeMatchesPooled(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		shards := 2 + rng.Intn(5)
-		lo, hi, buckets := 0.0, 100.0, 1+rng.Intn(40)
-		pooled := NewHistogram(lo, hi, buckets)
-		merged := NewHistogram(lo, hi, buckets)
-		var samples []float64
-		for s := 0; s < shards; s++ {
-			h := NewHistogram(lo, hi, buckets)
-			for i := 0; i < rng.Intn(200); i++ {
-				// Include out-of-range mass so the merge must carry it too.
-				x := -10 + rng.Float64()*120
-				samples = append(samples, x)
-				pooled.Add(x)
-				h.Add(x)
-			}
-			if err := merged.Merge(h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.Total() != pooled.Total() || merged.Total() != len(samples) {
-			t.Fatalf("trial %d: merged total %d, pooled %d, samples %d",
-				trial, merged.Total(), pooled.Total(), len(samples))
-		}
-		if merged.Underflow != pooled.Underflow || merged.Overflow != pooled.Overflow {
-			t.Fatalf("trial %d: under/overflow merged %d/%d pooled %d/%d",
-				trial, merged.Underflow, merged.Overflow, pooled.Underflow, pooled.Overflow)
-		}
-		for i := range merged.Buckets {
-			if merged.Buckets[i] != pooled.Buckets[i] {
-				t.Fatalf("trial %d: bucket %d merged %d pooled %d", trial, i, merged.Buckets[i], pooled.Buckets[i])
-			}
-		}
-		if len(samples) == 0 {
-			continue
-		}
-		width := (hi - lo) / float64(buckets)
-		sorted := append([]float64(nil), samples...)
-		sort.Float64s(sorted)
-		for _, q := range []float64{0.5, 0.99} {
-			// The sample at the same rank the histogram walks to; the estimate
-			// must land in that sample's bucket, i.e. within one bucket width.
-			idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			exact := sorted[idx]
-			// Clamp like the histogram does: out-of-range mass sits at the bounds.
-			if exact < lo {
-				exact = lo
-			}
-			if exact > hi {
-				exact = hi
-			}
-			got := merged.Quantile(q)
-			if math.Abs(got-exact) > width+1e-9 {
-				t.Fatalf("trial %d: q=%g estimate %g vs exact %g beyond bucket width %g",
-					trial, q, got, exact, width)
-			}
-		}
-	}
-}
-
-// TestHistogramMergeBoundsMismatch pins the typed refusal: merging histograms
-// with different bounds or bucket counts must return *BoundsMismatchError and
-// leave the receiver untouched instead of silently misbinning.
-func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	base := NewHistogram(0, 1, 4)
-	base.Add(0.5)
-	for _, other := range []*Histogram{
-		NewHistogram(0, 2, 4),
-		NewHistogram(-1, 1, 4),
-		NewHistogram(0, 1, 8),
-	} {
-		err := base.Merge(other)
-		var bm *BoundsMismatchError
-		if !errors.As(err, &bm) {
-			t.Fatalf("Merge returned %v, want *BoundsMismatchError", err)
-		}
-		if bm.Error() == "" {
-			t.Fatal("empty mismatch message")
-		}
-		if base.Total() != 1 || base.Buckets[2] != 1 {
-			t.Fatalf("failed merge mutated the receiver: %+v", base)
-		}
-	}
-}
-
-// TestHistogramOutOfRangeRegression pins the fix for the old data-loss case:
-// out-of-range samples must be counted (underflow/overflow), surface in
-// String(), survive a Merge, and anchor the quantile estimate at the bounds —
-// never be dropped.
-func TestHistogramOutOfRangeRegression(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-5, -1, 20, 30, 40} {
-		h.Add(x)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("out-of-range samples dropped: total %d, want 5", h.Total())
-	}
-	if h.Underflow != 2 || h.Overflow != 3 {
-		t.Fatalf("under/overflow %d/%d, want 2/3", h.Underflow, h.Overflow)
-	}
-	if s := h.String(); !strings.Contains(s, "underflow 2") || !strings.Contains(s, "overflow 3") {
-		t.Fatalf("String does not surface out-of-range mass:\n%s", s)
-	}
-	other := NewHistogram(0, 10, 5)
-	other.Add(-1)
-	other.Add(100)
-	if err := h.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if h.Underflow != 3 || h.Overflow != 4 || h.Total() != 7 {
-		t.Fatalf("merge lost out-of-range mass: %+v", h)
-	}
-	// All mass outside the range: the quantile clamps to the bounds.
-	if q := h.Quantile(0.0); q != 0 {
-		t.Fatalf("q0 = %g, want clamp to Lo", q)
-	}
-	if q := h.Quantile(1.0); q != 10 {
-		t.Fatalf("q1 = %g, want clamp to Hi", q)
 	}
 }
 
