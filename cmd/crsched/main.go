@@ -118,12 +118,12 @@ func main() {
 
 	bounds := core.LowerBounds(&inst)
 	fmt.Printf("instance: m=%d, jobs=%d, total work=%.3f\n", inst.NumProcessors(), inst.TotalJobs(), inst.TotalWork())
-	fmt.Printf("algorithm: %s\n", ev.Algorithm)
-	fmt.Printf("makespan: %d\n", ev.Makespan)
+	fmt.Printf("algorithm: %s\n", tel.Algorithm)
+	fmt.Printf("makespan: %d\n", tel.Makespan)
 	fmt.Printf("lower bounds: work=%d chain=%d best=%d (%s)\n", bounds.Work, bounds.Chain, bounds.Best(), bounds.Kind())
-	fmt.Printf("ratio to lower bound: %.4f\n", ev.Ratio)
-	fmt.Printf("wasted resource: %.4f\n", ev.Wasted)
-	fmt.Printf("properties: %s\n", ev.Properties)
+	fmt.Printf("ratio to lower bound: %.4f\n", tel.Ratio)
+	fmt.Printf("wasted resource: %.4f\n", tel.Wasted)
+	fmt.Printf("properties: %s\n", tel.Properties)
 	fmt.Printf("solve time: %s\n", ev.Stats.Elapsed.Round(time.Microsecond))
 	if tel.Nodes > 0 || tel.Incumbents > 0 {
 		fmt.Printf("search: %d nodes explored, %d incumbent improvements\n", tel.Nodes, tel.Incumbents)
@@ -203,7 +203,7 @@ func runBatch(ctx context.Context, eng *engine.Engine, algoName string, data []b
 			tel := out.Result.Telemetry
 			stats := out.Result.Evaluation.Stats
 			fmt.Printf("#%-3d makespan=%-4d waste=%.4f solver=%s nodes=%d in %s\n",
-				out.Index, tel.Makespan, tel.Wasted, out.Result.Evaluation.Algorithm, tel.Nodes,
+				out.Index, tel.Makespan, tel.Wasted, tel.Algorithm, tel.Nodes,
 				stats.Elapsed.Round(time.Microsecond))
 		}
 	}

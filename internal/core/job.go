@@ -263,12 +263,6 @@ func (in *Instance) String() string {
 	return s
 }
 
-// MarshalJSON implements json.Marshaler.
-func (in *Instance) MarshalJSON() ([]byte, error) {
-	type alias Instance
-	return json.Marshal((*alias)(in))
-}
-
 // UnmarshalJSON implements json.Unmarshaler and validates the decoded
 // instance.
 func (in *Instance) UnmarshalJSON(data []byte) error {

@@ -116,6 +116,9 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
+	if want := `{"procs":[[{"req":0.25,"size":1},{"req":0.5,"size":2}],[{"req":1,"size":1}]]}`; string(data) != want {
+		t.Fatalf("Marshal = %s, want %s", data, want)
+	}
 	var back Instance
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
@@ -135,6 +138,9 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
+	}
+	if want := `{"alloc":[[0.25,0.75],[1,0]]}`; string(data) != want {
+		t.Fatalf("Marshal = %s, want %s", data, want)
 	}
 	var back Schedule
 	if err := json.Unmarshal(data, &back); err != nil {

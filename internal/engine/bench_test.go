@@ -61,7 +61,7 @@ func BenchmarkEngineSolveCacheHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Source == solver.SourceSolve {
+		if res.Telemetry.Source == string(solver.SourceSolve) {
 			b.Fatal("expected a cache hit")
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkEngineSolveEachCacheHitPrehashed(b *testing.B) {
 			if out.Err != nil {
 				b.Fatal(out.Err)
 			}
-			if out.Result.Source == solver.SourceSolve {
+			if out.Result.Telemetry.Source == string(solver.SourceSolve) {
 				b.Fatal("expected a cache hit")
 			}
 		}

@@ -28,9 +28,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"crsharing/internal/core"
+	"crsharing/internal/numeric"
 	"crsharing/internal/progress"
 	"crsharing/internal/solver"
 )
@@ -224,11 +226,11 @@ type Result struct {
 	// Evaluation is the full evaluation (schedule, makespan, bounds, stats).
 	// Cached evaluations are shared; treat it as immutable.
 	Evaluation *solver.Evaluation
-	// Source tells where the evaluation came from.
-	Source solver.Source
 	// Fingerprint is the instance's canonical fingerprint (the cache key).
 	Fingerprint core.Fingerprint
-	// Telemetry is the structured account of this request.
+	// Telemetry is the structured account of this request; its Answer is
+	// what the surfaces report, and Answer.Source tells where the evaluation
+	// came from.
 	Telemetry Telemetry
 }
 
@@ -241,6 +243,9 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 		return nil, errors.New("engine: missing instance")
 	}
 	if err := req.Instance.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkCells(req.Instance); err != nil {
 		return nil, err
 	}
 	name := req.Solver
@@ -313,10 +318,37 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	}
 	return &Result{
 		Evaluation:  ev,
-		Source:      src,
 		Fingerprint: fp,
 		Telemetry:   tel,
 	}, nil
+}
+
+// maxCells bounds the schedule an instance may need, in steps × processors.
+// Every solver returns a dense steps × procs matrix of float64 shares and a
+// deadline cannot stop an allocation, so an instance whose shortest possible
+// schedule is larger is refused before anything is allocated. 1<<22 cells
+// are 32 MiB.
+const maxCells = 1 << 22
+
+// checkCells refuses an instance whose makespan lower bound (the paper's
+// work and chain bounds) times its processor count exceeds maxCells. The
+// bound is summed in float64: core.Bounds counts steps in int, which
+// overflows for huge job sizes.
+func checkCells(inst *core.Instance) error {
+	work, chain := 0.0, 0.0
+	for _, jobs := range inst.Procs {
+		steps := 0.0
+		for _, j := range jobs {
+			work += j.Work()
+			steps += math.Ceil(j.Size - numeric.Eps)
+		}
+		chain = max(chain, steps)
+	}
+	cells := max(math.Ceil(work-numeric.Eps), chain) * float64(len(inst.Procs))
+	if cells > maxCells {
+		return fmt.Errorf("engine: instance needs at least %.3g schedule cells, more than the budget of %d: %w", cells, maxCells, core.ErrUnsupported)
+	}
+	return nil
 }
 
 // admitted wraps a solver so that every fresh solve first acquires the

@@ -15,14 +15,41 @@ import (
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func floatFrom(b uint64) float64 { return math.Float64frombits(b) }
 
+// Answer is what every surface reports about a solved instance: the schedule
+// that was returned, judged by its makespan against the paper's lower bound.
+// The engine fills it once per request; Telemetry, the HTTP solve and batch
+// responses and job records embed it, so its keys appear flat in each.
+type Answer struct {
+	// Algorithm is the algorithm that produced the schedule; for a portfolio
+	// win it reads "member (via portfolio)".
+	Algorithm string `json:"algorithm"`
+	// Source reports how the result was obtained: "solve", "cache",
+	// "coalesced" or "negative" (a remembered infeasible/failed solve).
+	Source string `json:"source"`
+	// Makespan is the schedule's makespan in steps.
+	Makespan int `json:"makespan"`
+	// LowerBound is the best instance lower bound (core.LowerBounds).
+	LowerBound int `json:"lower_bound"`
+	// Ratio is Makespan / LowerBound (1 when the bound is zero).
+	Ratio float64 `json:"ratio"`
+	// Wasted is the schedule's total wasted resource.
+	Wasted float64 `json:"wasted"`
+	// Properties lists the Section-4 structural properties of the schedule.
+	Properties string `json:"properties"`
+	// ElapsedMS is the wall-clock of the solve that produced the result. For
+	// cache and coalesced answers it replays the original solve's duration.
+	ElapsedMS float64 `json:"elapsed_ms"`
+}
+
 // Telemetry is the structured account of one solve request, assembled by the
 // engine for every request regardless of which surface (HTTP sync, batch,
-// job worker, CLI) submitted it. It extends solver.Stats with the quantities
-// the serving and load layers report: where the answer came from, how much
-// search effort it took, which lower bound anchored the quality ratio, and
-// what the schedule looks like. It serialises directly into API responses,
-// job records and the crload report.
+// job worker, CLI) submitted it. It extends the Answer with the quantities
+// the serving and load layers report: how much search effort it took, which
+// lower bound anchored the quality ratio, and what the schedule looks like.
+// It serialises directly into API responses, job records and the crload
+// report.
 type Telemetry struct {
+	Answer
 	// Solver is the registry name the request resolved to (e.g. "portfolio").
 	Solver string `json:"solver"`
 	// Tenant is the tenant the request was admitted and accounted under.
@@ -31,15 +58,6 @@ type Telemetry struct {
 	// member for a portfolio, the solver itself otherwise. Empty for solvers
 	// that do not report stats.
 	Winner string `json:"winner,omitempty"`
-	// Algorithm is the algorithm that produced the schedule; for a portfolio
-	// win it reads "member (via portfolio)".
-	Algorithm string `json:"algorithm"`
-	// Source reports how the result was obtained: "solve", "cache",
-	// "coalesced" or "negative" (a remembered infeasible/failed solve).
-	Source string `json:"source"`
-	// ElapsedMS is the wall-clock of the solve that produced the result. For
-	// cache and coalesced answers it replays the original solve's duration.
-	ElapsedMS float64 `json:"elapsed_ms"`
 	// QueueMS is the time THIS request spent waiting for an admission slot;
 	// zero for cache hits (they bypass admission entirely).
 	QueueMS float64 `json:"queue_ms"`
@@ -55,21 +73,12 @@ type Telemetry struct {
 	// headline number for the allocation-free search kernels.
 	KernelAllocs  int64   `json:"kernel_allocs"`
 	AllocsPerNode float64 `json:"allocs_per_node"`
-	// Makespan is the schedule's makespan in steps.
-	Makespan int `json:"makespan"`
-	// LowerBound is the best instance lower bound (core.LowerBounds), and
-	// LowerBoundKind names which bound it is ("work" or "chain").
-	LowerBound     int    `json:"lower_bound"`
+	// LowerBoundKind names which bound Answer.LowerBound is ("work" or
+	// "chain").
 	LowerBoundKind string `json:"lower_bound_kind"`
-	// Ratio is Makespan / LowerBound (1 when the bound is zero).
-	Ratio float64 `json:"ratio"`
 	// Steps is the number of steps in the returned schedule (= Makespan for
 	// trimmed schedules; kept separate so padding bugs are visible).
 	Steps int `json:"steps"`
-	// Wasted is the schedule's total wasted resource.
-	Wasted float64 `json:"wasted"`
-	// Properties lists the Section-4 structural properties of the schedule.
-	Properties string `json:"properties"`
 	// WarmStart names the source of the warm-start hint this request's solve
 	// accepted ("request" or "neighbor"); empty when the solve ran cold or
 	// the answer was replayed from the cache. SeedMakespan is the validated
@@ -80,23 +89,24 @@ type Telemetry struct {
 
 // newTelemetry assembles the telemetry of one finished solve.
 func newTelemetry(solverName string, ev *solver.Evaluation, src solver.Source, inst *core.Instance, queued time.Duration) Telemetry {
-	bounds := inst.Bounds()
 	t := Telemetry{
+		Answer: Answer{
+			Algorithm:  ev.Algorithm,
+			Source:     string(src),
+			Makespan:   ev.Makespan,
+			LowerBound: ev.LowerBound,
+			Ratio:      ev.Ratio,
+			Wasted:     ev.Wasted,
+			Properties: ev.Properties.String(),
+			ElapsedMS:  float64(ev.Stats.Elapsed) / float64(time.Millisecond),
+		},
 		Solver:         solverName,
 		Winner:         ev.Stats.Winner,
-		Algorithm:      ev.Algorithm,
-		Source:         string(src),
-		ElapsedMS:      float64(ev.Stats.Elapsed) / float64(time.Millisecond),
 		QueueMS:        float64(queued) / float64(time.Millisecond),
 		Nodes:          ev.Stats.Nodes,
 		Incumbents:     ev.Stats.Incumbents,
 		KernelAllocs:   ev.Stats.KernelAllocs,
-		Makespan:       ev.Makespan,
-		LowerBound:     ev.LowerBound,
-		LowerBoundKind: bounds.Kind(),
-		Ratio:          ev.Ratio,
-		Wasted:         ev.Wasted,
-		Properties:     ev.Properties.String(),
+		LowerBoundKind: inst.Bounds().Kind(),
 	}
 	if ev.Schedule != nil {
 		t.Steps = ev.Schedule.Steps()

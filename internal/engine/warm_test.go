@@ -77,8 +77,8 @@ func TestRequestWarmStartTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Source != solver.SourceSolve {
-		t.Fatalf("warm request answered from %q, want a fresh solve", warm.Source)
+	if warm.Telemetry.Source != string(solver.SourceSolve) {
+		t.Fatalf("warm request answered from %q, want a fresh solve", warm.Telemetry.Source)
 	}
 	if warm.Telemetry.WarmStart != WarmSourceRequest {
 		t.Fatalf("warm_start = %q, want %q", warm.Telemetry.WarmStart, WarmSourceRequest)
@@ -91,7 +91,7 @@ func TestRequestWarmStartTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay.Source == solver.SourceSolve {
+	if replay.Telemetry.Source == string(solver.SourceSolve) {
 		t.Fatalf("replay re-solved")
 	}
 	if replay.Telemetry.WarmStart != "" {
@@ -125,8 +125,8 @@ func TestNeighborWarmStartTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != solver.SourceSolve {
-		t.Fatalf("mutant answered from %q, want a fresh solve", res.Source)
+	if res.Telemetry.Source != string(solver.SourceSolve) {
+		t.Fatalf("mutant answered from %q, want a fresh solve", res.Telemetry.Source)
 	}
 	if res.Telemetry.WarmStart != WarmSourceNeighbor {
 		t.Fatalf("warm_start = %q, want %q", res.Telemetry.WarmStart, WarmSourceNeighbor)

@@ -253,19 +253,20 @@ type TelemetryAgg struct {
 }
 
 // add folds one solve's telemetry into the aggregate.
-func (a *TelemetryAgg) add(tel *engine.Telemetry, source string) {
+func (a *TelemetryAgg) add(tel *engine.Telemetry) {
+	if tel == nil {
+		return
+	}
 	if a.Sources == nil {
 		a.Sources = make(map[string]int)
 	}
-	if source != "" {
-		a.Sources[source]++
+	if tel.Source != "" {
+		a.Sources[tel.Source]++
 	}
-	if tel != nil {
-		a.Nodes += tel.Nodes
-		a.Incumbents += tel.Incumbents
-		if tel.WarmStart != "" {
-			a.WarmStarts++
-		}
+	a.Nodes += tel.Nodes
+	a.Incumbents += tel.Incumbents
+	if tel.WarmStart != "" {
+		a.WarmStarts++
 	}
 }
 
@@ -666,12 +667,12 @@ const maxErrorSamples = 5
 
 // countTelemetry folds one solve's telemetry into its class and tenant
 // aggregates.
-func (d *Driver) countTelemetry(class, tenant string, tel *engine.Telemetry, source string) {
+func (d *Driver) countTelemetry(class, tenant string, tel *engine.Telemetry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.classes[class].Telemetry.add(tel, source)
+	d.classes[class].Telemetry.add(tel)
 	if ts := d.tenants[tenant]; ts != nil {
-		ts.Telemetry.add(tel, source)
+		ts.Telemetry.add(tel)
 	}
 }
 
@@ -799,7 +800,7 @@ func (d *Driver) doSolve(ctx context.Context, class, tenant string, item Item) s
 		}
 		d.mu.Unlock()
 	}
-	d.countTelemetry(class, tenant, resp.Telemetry, resp.Source)
+	d.countTelemetry(class, tenant, resp.Telemetry)
 	label := fmt.Sprintf("%s %s/%s", class, item.Family, item.Inst.Fingerprint().Short())
 	if err := d.oracle.CheckSchedule(label, item.Inst, resp.Schedule, resp.Makespan, resp.Wasted); err != nil {
 		d.countError(class, tenant, err)
@@ -833,9 +834,11 @@ func (d *Driver) doBatch(ctx context.Context, tenant string, batch []Item) strin
 			d.countError(ClassBatch, tenant, errors.New(res.Error))
 		case res.Index < 0 || res.Index >= len(batch):
 			d.countError(ClassBatch, tenant, fmt.Errorf("batch response index %d outside [0,%d)", res.Index, len(batch)))
+		case res.Answer == nil:
+			d.countError(ClassBatch, tenant, fmt.Errorf("batch result %d has neither an error nor an answer", res.Index))
 		default:
 			it := batch[res.Index]
-			d.countTelemetry(ClassBatch, tenant, res.Telemetry, res.Source)
+			d.countTelemetry(ClassBatch, tenant, res.Telemetry)
 			label := fmt.Sprintf("batch %s/%s", it.Family, it.Inst.Fingerprint().Short())
 			if err := d.oracle.CheckMakespan(label, it.Inst, res.Makespan); err != nil {
 				d.countError(ClassBatch, tenant, err)
@@ -870,7 +873,7 @@ func (d *Driver) doJob(ctx context.Context, tenant string, item Item) string {
 	switch final.State {
 	case jobs.StateDone:
 		if final.Result != nil {
-			d.countTelemetry(ClassJobs, tenant, final.Result.Telemetry, final.Result.Source)
+			d.countTelemetry(ClassJobs, tenant, final.Result.Telemetry)
 		}
 		label := fmt.Sprintf("job %s %s/%s", final.ID, item.Family, item.Inst.Fingerprint().Short())
 		if final.Result == nil {

@@ -97,17 +97,8 @@ type Incumbent struct {
 // Result is the completed evaluation of a done job, in a form that
 // serialises cleanly to JSON for the API and the on-disk store.
 type Result struct {
-	Algorithm  string  `json:"algorithm"`
-	Source     string  `json:"source"`
-	Makespan   int     `json:"makespan"`
-	LowerBound int     `json:"lower_bound"`
-	Ratio      float64 `json:"ratio"`
-	Wasted     float64 `json:"wasted"`
-	Properties string  `json:"properties"`
-	// ElapsedMS is the wall-clock of the solve that produced the result; for
-	// cache hits it replays the original solve's duration.
-	ElapsedMS float64        `json:"elapsed_ms"`
-	Schedule  *core.Schedule `json:"schedule,omitempty"`
+	engine.Answer
+	Schedule *core.Schedule `json:"schedule,omitempty"`
 	// Telemetry is the engine's structured account of the solve: search
 	// nodes, incumbents, cache source, admission queueing and schedule shape.
 	Telemetry *engine.Telemetry `json:"telemetry,omitempty"`
@@ -522,21 +513,9 @@ func (m *Manager) run(j *job) {
 	var doneTelemetry *engine.Telemetry
 	switch {
 	case err == nil:
-		ev := res.Evaluation
 		tel := res.Telemetry
 		j.snap.State = StateDone
-		j.snap.Result = &Result{
-			Algorithm:  ev.Algorithm,
-			Source:     string(res.Source),
-			Makespan:   ev.Makespan,
-			LowerBound: ev.LowerBound,
-			Ratio:      ev.Ratio,
-			Wasted:     ev.Wasted,
-			Properties: ev.Properties.String(),
-			ElapsedMS:  float64(ev.Stats.Elapsed) / float64(time.Millisecond),
-			Schedule:   ev.Schedule,
-			Telemetry:  &tel,
-		}
+		j.snap.Result = &Result{Answer: tel.Answer, Schedule: res.Evaluation.Schedule, Telemetry: &tel}
 		doneTelemetry = &tel
 		counter = &m.done
 	case j.cancelRequested && ctxErr:

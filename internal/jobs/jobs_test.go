@@ -3,6 +3,8 @@ package jobs
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -444,6 +446,10 @@ func TestRestartServesStoredResultWithoutResolving(t *testing.T) {
 	}
 	if err := m1.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+	// Records stay private to the server's user.
+	if info, err := os.Stat(filepath.Join(dir, snap.ID+".json")); err != nil || info.Mode().Perm() != 0o600 {
+		t.Fatalf("stored record: %v, %v", info, err)
 	}
 	solves := stub.calls.Load()
 

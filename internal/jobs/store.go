@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"crsharing/internal/atomicfile"
 )
 
 // Record is the persisted form of a job: the snapshot plus the originating
@@ -25,9 +27,9 @@ type Store interface {
 	LoadAll() ([]Record, error)
 }
 
-// FileStore persists one JSON file per job under a directory. Writes go
-// through a temporary file and an atomic rename, so a crash mid-write never
-// corrupts an existing record.
+// FileStore persists one JSON file per job under a directory. Records are
+// written with atomicfile.Write, so a crash never leaves a partial or empty
+// record.
 type FileStore struct {
 	dir string
 }
@@ -55,19 +57,7 @@ func (s *FileStore) Save(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encoding record %s: %w", rec.Snapshot.ID, err)
 	}
-	final := filepath.Join(s.dir, rec.Snapshot.ID+".json")
-	tmp, err := os.CreateTemp(s.dir, rec.Snapshot.ID+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("jobs: writing record %s: %w", rec.Snapshot.ID, err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: writing record %s: %w", rec.Snapshot.ID, firstErr(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(s.dir, rec.Snapshot.ID+".json", data, 0o600); err != nil {
 		return fmt.Errorf("jobs: writing record %s: %w", rec.Snapshot.ID, err)
 	}
 	return nil
@@ -124,13 +114,4 @@ func validID(id string) bool {
 		}
 	}
 	return true
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -252,22 +252,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	ev := res.Evaluation
 	resp := SolveResponse{
 		Solver:      name,
-		Algorithm:   ev.Algorithm,
-		Source:      string(res.Source),
+		Answer:      res.Telemetry.Answer,
 		Fingerprint: res.Fingerprint.String(),
-		Makespan:    ev.Makespan,
-		LowerBound:  ev.LowerBound,
-		Ratio:       ev.Ratio,
-		Wasted:      ev.Wasted,
-		Properties:  ev.Properties.String(),
-		ElapsedMS:   float64(ev.Stats.Elapsed) / float64(time.Millisecond),
 		Telemetry:   &res.Telemetry,
 	}
 	if req.IncludeSchedule {
-		resp.Schedule = ev.Schedule
+		resp.Schedule = res.Evaluation.Schedule
 	}
 	s.respond(w, http.StatusOK, resp)
 }
@@ -341,12 +333,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res.Error = out.Err.Error()
 		default:
 			resp.Solved++
-			ev := out.Result.Evaluation
-			res.Makespan = ev.Makespan
-			res.Wasted = ev.Wasted
-			res.Algorithm = ev.Algorithm
-			res.Source = string(out.Result.Source)
-			res.ElapsedMS = float64(ev.Stats.Elapsed) / float64(time.Millisecond)
+			res.Answer = &out.Result.Telemetry.Answer
 			res.Telemetry = &out.Result.Telemetry
 		}
 		resp.Results[i] = res

@@ -28,31 +28,15 @@ type SolveRequest struct {
 	WarmStart *core.Schedule `json:"warm_start,omitempty"`
 }
 
-// SolveResponse is the body of a successful POST /v1/solve.
+// SolveResponse is the body of a successful POST /v1/solve. The embedded
+// Answer's keys sit at the top level, next to the fingerprint; they repeat
+// the same keys of Telemetry.
 type SolveResponse struct {
 	// Solver is the registry name the request resolved to.
 	Solver string `json:"solver"`
-	// Algorithm is the algorithm that produced the schedule (for a portfolio
-	// the winning member, e.g. "greedy-balance (via portfolio)").
-	Algorithm string `json:"algorithm"`
-	// Source reports how the result was obtained: "solve" (fresh solve),
-	// "cache" (memo hit) or "coalesced" (joined an identical in-flight
-	// solve).
-	Source string `json:"source"`
+	engine.Answer
 	// Fingerprint is the canonical instance fingerprint, the cache key.
 	Fingerprint string `json:"fingerprint"`
-	Makespan    int    `json:"makespan"`
-	LowerBound  int    `json:"lower_bound"`
-	// Ratio is makespan divided by the best lower bound.
-	Ratio  float64 `json:"ratio"`
-	Wasted float64 `json:"wasted"`
-	// Properties lists the Section-4 structural properties of the schedule.
-	Properties string `json:"properties"`
-	// ElapsedMS is the wall-clock of the solve that produced this result in
-	// milliseconds. For cache and coalesced responses it replays the
-	// original solve's duration — consult Source for this request's own
-	// cost.
-	ElapsedMS float64 `json:"elapsed_ms"`
 	// Telemetry is the engine's structured account of this solve: search
 	// nodes and incumbents, admission queueing, the lower bound that anchors
 	// Ratio, and the schedule shape.
@@ -69,16 +53,12 @@ type BatchRequest struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
-// BatchResult is the outcome of one instance of a batch.
+// BatchResult is the outcome of one instance of a batch. Answer is set only
+// for solved instances, so failed, shed and cancelled rows carry none of its
+// keys.
 type BatchResult struct {
-	Index     int     `json:"index"`
-	Makespan  int     `json:"makespan,omitempty"`
-	Wasted    float64 `json:"wasted,omitempty"`
-	Algorithm string  `json:"algorithm,omitempty"`
-	// Source reports how this instance's result was obtained ("solve",
-	// "cache" or "coalesced"), like the single-solve response does.
-	Source    string  `json:"source,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
+	Index int `json:"index"`
+	*engine.Answer
 	// Telemetry is the engine's structured account of this instance's solve.
 	Telemetry *engine.Telemetry `json:"telemetry,omitempty"`
 	// Error is set for failed instances; Cancelled additionally marks
