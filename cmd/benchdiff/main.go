@@ -114,8 +114,7 @@ func writePerf(path string, old, new map[benchcmp.Key]*benchcmp.Samples, loadPat
 	b.WriteString("```sh\n")
 	b.WriteString("go test -run '^$' -bench . -benchmem -count 3 -json \\\n")
 	b.WriteString("  ./internal/core ./internal/solver ./internal/engine ./internal/algo/branchbound > BENCH_core.json\n")
-	b.WriteString("go run ./cmd/crload -seed 1 -duration 4s -rate 150 -solver greedy-balance \\\n")
-	b.WriteString("  -shards 2 -json BENCH_load.json\n")
+	b.WriteString("go run ./cmd/crload -seed 1 -duration 4s -rate 150 -shards 2 -json BENCH_load.json\n")
 	b.WriteString("go run ./cmd/benchdiff -new BENCH_core.json -load BENCH_load.json -perf PERF.md\n")
 	b.WriteString("```\n\n")
 	b.WriteString("`samples` is a sparkline of the `-count` repetitions (run-to-run spread);\n")

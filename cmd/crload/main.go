@@ -6,9 +6,10 @@
 // per-class latency distributions, throughput and the cache-hit accounting
 // scraped from /metrics.
 //
-// With no -addr it spins up the full stack in-process (registry, sharded
-// memo cache, job manager, HTTP layer) behind an httptest listener, so a
-// single command is a complete end-to-end smoke:
+// With no -addr it opens a crserved node in-process (service.OpenNode with
+// crserved's defaults; only -cache-dir and -tenants change them) behind an
+// httptest listener, so a single command is a complete end-to-end smoke of
+// the configuration crserved ships:
 //
 //	crload -seed 1 -duration 2s
 //	crload -seed 7 -duration 10s -rate 500 -mix solve=6,batch=2,jobs=2 -json BENCH_load.json
@@ -50,6 +51,7 @@ import (
 	"crsharing/internal/engine"
 	"crsharing/internal/harness"
 	"crsharing/internal/router"
+	"crsharing/internal/service"
 )
 
 // Exit codes of the crload process.
@@ -175,36 +177,34 @@ func main() {
 		base = ts.URL
 		fmt.Fprintf(os.Stderr, "crload: driving in-process router at %s over %d backends\n", base, len(backendAddrs))
 	}
+	closeNode := func() error { return nil }
 	if base == "" {
-		// The full production stack — one shared engine (registry, memo
-		// cache, admission semaphore, telemetry), job manager, HTTP layer —
-		// behind an httptest listener. The driver deliberately saturates the
-		// server; the stack's generous default admission budget keeps
-		// queueing delay out of the measured latencies.
-		scfg := harness.StackConfig{
-			Version:  "crload",
-			CacheDir: *cacheDir,
-		}
+		// A crserved node with crserved's own defaults behind an httptest
+		// listener, so the run measures the configuration that ships.
+		ncfg := service.DefaultNodeConfig()
+		ncfg.CacheDir = *cacheDir
 		if len(tenantLoads) > 0 {
-			scfg.Tenants = make(map[string]engine.TenantConfig, len(tenantLoads))
+			ncfg.Tenants = make(map[string]engine.TenantConfig, len(tenantLoads))
 			for _, tl := range tenantLoads {
-				scfg.Tenants[tl.Name] = engine.TenantConfig{Weight: tl.Weight}
+				ncfg.Tenants[tl.Name] = engine.TenantConfig{Weight: tl.Weight}
 			}
 		}
-		stack, err := harness.NewStack(scfg)
+		node, err := service.OpenNode(ncfg)
 		if err != nil {
 			fatal(err)
 		}
-		defer func() {
-			if err := stack.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "crload: shutdown: %v\n", err)
-			}
-		}()
-		base = stack.URL
+		ts := httptest.NewServer(node.Server.Handler())
+		closeNode = func() error {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			return node.Close(ctx)
+		}
+		base = ts.URL
 		fmt.Fprintf(os.Stderr, "crload: driving in-process server at %s\n", base)
 		if *cacheDir != "" {
 			fmt.Fprintf(os.Stderr, "crload: warm cache: restored %d evaluations from %s (%d corrupt files quarantined)\n",
-				stack.CacheLoad.Restored, *cacheDir, stack.CacheLoad.Quarantined)
+				node.CacheLoad.Restored, *cacheDir, node.CacheLoad.Quarantined)
 		}
 	}
 	cfg.BaseURL = base
@@ -222,6 +222,11 @@ func main() {
 	report, err := harness.RunFleet(ctx, cfg, *shards)
 	if err != nil {
 		fatal(err)
+	}
+	// Closed here, not deferred: the os.Exit below skips deferred calls, and
+	// closing the node writes the warm-cache snapshot the next run restores.
+	if err := closeNode(); err != nil {
+		fmt.Fprintf(os.Stderr, "crload: shutdown: %v\n", err)
 	}
 
 	if recorder != nil {

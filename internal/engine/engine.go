@@ -10,8 +10,8 @@
 //     caller's limits (sync and job surfaces have different ceilings),
 //  3. cache routing — the request is answered from the shared memo cache or
 //     coalesced onto an identical in-flight solve when possible,
-//  4. admission — a fresh solve first acquires the global weighted
-//     semaphore, the one concurrency budget shared by every surface (before
+//  4. admission — a fresh solve first acquires a slot from the tenant-fair
+//     scheduler, the one concurrency budget shared by every surface (before
 //     this package existed, batch shards and job workers bypassed the
 //     serving layer's semaphore entirely),
 //  5. progress — the caller's incumbent observer is attached to the solve
@@ -77,16 +77,13 @@ type Config struct {
 	// their own deadline policy (the job manager) override per request via
 	// Request.Limits.
 	MaxTimeout time.Duration
-	// MaxConcurrent is the global admission budget: the total weight of
-	// solves running at once across every surface (default 16).
+	// MaxConcurrent is the global admission budget: the number of solves
+	// running at once across every surface (default 16).
 	MaxConcurrent int
 	// Tenants configures per-tenant admission quotas by tenant name. Tenants
-	// not listed here run under TenantDefaults.
+	// not listed here run under the zero TenantConfig: weight 1, inflight
+	// quota = MaxConcurrent, queue bound 16x MaxConcurrent, priority 0.
 	Tenants map[string]TenantConfig
-	// TenantDefaults is the quota template applied to tenants absent from
-	// Tenants (zero value: weight 1, inflight quota = MaxConcurrent, queue
-	// bound 16x MaxConcurrent, priority 0).
-	TenantDefaults TenantConfig
 	// ShedRetryAfter is the back-off hint carried by ErrShed rejections
 	// (default 1s).
 	ShedRetryAfter time.Duration
@@ -126,7 +123,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return &Engine{
 		cfg: cfg,
-		sem: newFairScheduler(int64(cfg.MaxConcurrent), cfg.TenantDefaults, cfg.Tenants, cfg.ShedRetryAfter),
+		sem: newFairScheduler(int64(cfg.MaxConcurrent), cfg.Tenants, cfg.ShedRetryAfter),
 		met: newMetrics(),
 	}, nil
 }
@@ -212,9 +209,6 @@ type Request struct {
 	// is identical either way. When absent, the engine consults the cache's
 	// neighbor index for a hint on a miss.
 	WarmStart *core.Schedule
-	// Weight is the admission weight (default 1). Heavier requests may be
-	// given a larger share of the MaxConcurrent budget.
-	Weight int64
 	// Tenant is the tenant the request is admitted and accounted under;
 	// empty means DefaultTenant. Fairness, quotas and shedding are applied
 	// per tenant.
@@ -281,7 +275,7 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*Result, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	adm := &admitted{eng: e, inner: sv, weight: req.Weight, tenant: tenant}
+	adm := &admitted{eng: e, inner: sv, tenant: tenant}
 	if req.WarmStart != nil {
 		// An explicit hint travels as a context value so it survives the
 		// cache's singleflight indirection and the solver adapters' counter
@@ -360,7 +354,6 @@ func checkCells(inst *core.Instance) error {
 type admitted struct {
 	eng    *Engine
 	inner  solver.Solver
-	weight int64
 	tenant string
 	// queued is the admission wait of this request's solve, read by the
 	// engine after the call. One admitted value serves one request, and the
@@ -384,12 +377,12 @@ func (a *admitted) Name() string { return a.inner.Name() }
 
 func (a *admitted) Solve(ctx context.Context, inst *core.Instance) (*core.Schedule, solver.Stats, error) {
 	start := time.Now()
-	if err := a.eng.sem.Acquire(ctx, a.tenant, a.weight); err != nil {
+	if err := a.eng.sem.Acquire(ctx, a.tenant); err != nil {
 		a.queued = time.Since(start)
 		return nil, solver.Stats{Solver: a.inner.Name()}, err
 	}
 	a.queued = time.Since(start)
-	defer a.eng.sem.Release(a.tenant, a.weight)
+	defer a.eng.sem.Release(a.tenant)
 	// This point is reached only by a true miss that won admission (cache
 	// hits and coalesced followers never get here), which is exactly where a
 	// neighbor hint pays: ask the cache's shape index for an adapted

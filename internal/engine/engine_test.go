@@ -391,78 +391,46 @@ func TestSolveEachSkipsAfterCancellation(t *testing.T) {
 	}
 }
 
-func TestSchedulerWeights(t *testing.T) {
-	sem := newFairScheduler(4, TenantConfig{}, nil, 0)
-	ctx := context.Background()
-	if err := sem.Acquire(ctx, "", 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := sem.InUse(); got != 3 {
-		t.Fatalf("InUse = %d, want 3", got)
-	}
-	// Weight above capacity is clamped so it can still run alone.
-	done := make(chan error, 1)
-	go func() { done <- sem.Acquire(ctx, "", 99) }()
-	select {
-	case <-done:
-		t.Fatal("oversized acquire admitted while 3 units were held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	sem.Release("", 3)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("clamped acquire never admitted")
-	}
-	sem.Release("", 99) // symmetric clamp
-	if got := sem.InUse(); got != 0 {
-		t.Fatalf("InUse = %d after full release, want 0", got)
-	}
-}
-
+// TestSchedulerCancelledWaiterUnblocksQueue checks that a waiter cancelled
+// at the head of its tenant's queue leaves the queue: the next released slot
+// goes to the waiter behind it instead of to the departed one.
 func TestSchedulerCancelledWaiterUnblocksQueue(t *testing.T) {
-	sem := newFairScheduler(2, TenantConfig{}, nil, 0)
+	sem := newFairScheduler(1, nil, 0)
 	ctx := context.Background()
-	if err := sem.Acquire(ctx, "", 2); err != nil {
+	if err := sem.Acquire(ctx, ""); err != nil {
 		t.Fatal(err)
 	}
-	// A heavy waiter queues first, then a light one behind it (same tenant).
-	heavyCtx, heavyCancel := context.WithCancel(ctx)
-	heavyErr := make(chan error, 1)
-	go func() { heavyErr <- sem.Acquire(heavyCtx, "", 2) }()
+	headCtx, headCancel := context.WithCancel(ctx)
+	headErr := make(chan error, 1)
+	go func() { headErr <- sem.Acquire(headCtx, "") }()
 	for sem.Waiting() < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	lightErr := make(chan error, 1)
-	go func() { lightErr <- sem.Acquire(ctx, "", 1) }()
+	nextErr := make(chan error, 1)
+	go func() { nextErr <- sem.Acquire(ctx, "") }()
 	for sem.Waiting() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Free one unit: FIFO within the tenant keeps the heavy waiter first, so
-	// nobody runs yet.
-	sem.Release("", 1)
-	select {
-	case <-lightErr:
-		t.Fatal("light waiter overtook the heavy one")
-	case <-time.After(20 * time.Millisecond):
+	headCancel()
+	if err := <-headErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("head waiter err = %v", err)
 	}
-	// Cancelling the heavy waiter must re-sweep the queue and admit the
-	// light one with the already-free unit.
-	heavyCancel()
-	if err := <-heavyErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("heavy waiter err = %v", err)
+	if got := sem.Waiting(); got != 1 {
+		t.Fatalf("Waiting = %d after the head left, want 1", got)
 	}
+	sem.Release("")
 	select {
-	case err := <-lightErr:
+	case err := <-nextErr:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("light waiter not admitted after the heavy one left")
+		t.Fatal("waiter behind the cancelled head not admitted")
+	}
+	sem.Release("")
+	if got := sem.InUse(); got != 0 {
+		t.Fatalf("InUse = %d after full release, want 0", got)
 	}
 }
 

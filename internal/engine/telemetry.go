@@ -212,8 +212,8 @@ type Snapshot struct {
 	IncumbentsTotal int64
 	// QueueSeconds is the total time requests spent waiting for admission.
 	QueueSeconds float64
-	// Inflight is the admission weight currently held; Waiting the queued
-	// acquirers.
+	// Inflight is the number of solves currently admitted; Waiting the
+	// queued acquirers.
 	Inflight int64
 	Waiting  int
 	// SolveSeconds / SolveNodes are the live (not copied) per-fresh-solve

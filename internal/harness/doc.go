@@ -22,10 +22,9 @@
 //     cache source — load runs double as solver-behaviour regressions) and
 //     the cache-hit accounting scraped from /metrics.
 //
-// Stack (stack.go) wires the full production layering — one shared
-// internal/engine pipeline feeding both the service handlers and the job
-// manager, exactly like cmd/crserved — behind an httptest listener, for
-// crload's in-process mode and the end-to-end tests.
+// The harness builds no server of its own: crload's in-process mode and the
+// driver tests put an httptest listener around a service.Node, opened with
+// service.OpenNode from crserved's own defaults.
 //
 //   - Oracle (oracle.go): every schedule a response carries is re-executed
 //     with core.Execute and revalidated against the paper's invariants

@@ -91,13 +91,13 @@ func ParseMix(s string) (Mix, error) {
 func (m Mix) total() int { return m.Solve + m.Batch + m.Jobs + m.Online }
 
 // TenantLoad is one tenant's slice of a multi-tenant load run: the tenant
-// name sent in the X-Tenant header, the admission weight to configure on an
+// name sent in the X-Tenant header, the fair-share weight to configure on an
 // in-process server, and the tenant's own open-loop arrival rate.
 type TenantLoad struct {
 	// Name is the tenant identity sent with every request.
 	Name string `json:"name"`
 	// Weight is the engine-side fair-share weight (only used when the caller
-	// also builds the server, e.g. crload's in-process stack); min 1.
+	// also builds the server, e.g. crload's in-process node); min 1.
 	Weight int64 `json:"weight"`
 	// Rate is the tenant's arrival rate in requests per second.
 	Rate float64 `json:"rate_per_sec"`

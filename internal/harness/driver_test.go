@@ -9,42 +9,39 @@ import (
 	"time"
 
 	"crsharing/internal/engine"
+	"crsharing/internal/service"
 )
 
-// newHarnessServer wires the full stack — one shared engine, job manager,
-// HTTP layer — behind an httptest listener, defaulting to the fast
-// deterministic greedy-balance solver so driver tests stay quick under
-// -race.
-func newHarnessServer(t *testing.T) *Stack {
+// newHarnessServer opens a crserved node behind an httptest listener and
+// returns its URL. It keeps crserved's defaults but for the fast
+// deterministic greedy-balance solver, so driver tests stay quick under
+// -race; tenants, when non-nil, are the node's admission quotas.
+func newHarnessServer(t *testing.T, tenants map[string]engine.TenantConfig) string {
 	t.Helper()
-	stack, err := NewStack(StackConfig{
-		DefaultSolver:     "greedy-balance",
-		MaxConcurrent:     32,
-		Workers:           2,
-		QueueDepth:        256,
-		JobDefaultTimeout: 10 * time.Second,
-		JobMaxTimeout:     30 * time.Second,
-		Version:           "harness-test",
-	})
+	cfg := service.DefaultNodeConfig()
+	cfg.DefaultSolver = "greedy-balance"
+	cfg.Tenants = tenants
+	node, err := service.OpenNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(node.Server.Handler())
 	t.Cleanup(func() {
-		if err := stack.Close(); err != nil {
-			t.Errorf("stack close: %v", err)
+		ts.Close()
+		if err := node.Close(context.Background()); err != nil {
+			t.Errorf("node close: %v", err)
 		}
 	})
-	return stack
+	return ts.URL
 }
 
-// TestDriverEndToEnd replays a short mixed load against the in-process stack
+// TestDriverEndToEnd replays a short mixed load against an in-process node
 // and asserts the acceptance contract: every class sees traffic, every
 // schedule revalidates with zero violations, and the duplicate-heavy corpus
 // produces cache hits.
 func TestDriverEndToEnd(t *testing.T) {
-	stack := newHarnessServer(t)
 	d, err := NewDriver(Config{
-		BaseURL:  stack.URL,
+		BaseURL:  newHarnessServer(t, nil),
 		Corpus:   BuildCorpus(1),
 		Mix:      Mix{Solve: 6, Batch: 2, Jobs: 2},
 		Rate:     400,
@@ -153,29 +150,12 @@ func TestDriverCountsServerErrors(t *testing.T) {
 // per-tenant slices are complete: every request lands in exactly one tenant
 // bucket, so the tenant sums reproduce the global and per-class totals.
 func TestDriverPerTenantAccounting(t *testing.T) {
-	stack, err := NewStack(StackConfig{
-		DefaultSolver: "greedy-balance",
-		MaxConcurrent: 32,
-		Workers:       2,
-		QueueDepth:    256,
-		Tenants: map[string]engine.TenantConfig{
-			"gold": {Weight: 3},
-			"free": {Weight: 1},
-		},
-		JobDefaultTimeout: 10 * time.Second,
-		JobMaxTimeout:     30 * time.Second,
-		Version:           "harness-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := stack.Close(); err != nil {
-			t.Errorf("stack close: %v", err)
-		}
+	url := newHarnessServer(t, map[string]engine.TenantConfig{
+		"gold": {Weight: 3},
+		"free": {Weight: 1},
 	})
 	d, err := NewDriver(Config{
-		BaseURL: stack.URL,
+		BaseURL: url,
 		Corpus:  BuildCorpus(1),
 		Mix:     Mix{Solve: 6, Batch: 2, Jobs: 2},
 		Tenants: []TenantLoad{

@@ -12,57 +12,33 @@ import (
 	"testing"
 	"time"
 
+	"crsharing"
 	"crsharing/internal/core"
-	"crsharing/internal/engine"
 	"crsharing/internal/gen"
 	"crsharing/internal/jobs"
 	"crsharing/internal/solver"
 )
 
 // TestEndToEnd is the Go port of the CI shell smoke that used to drive a
-// crserved binary with curl: it wires the production stack — full solver
-// registry, sharded memo cache, job manager — behind an httptest listener
-// and walks the whole lifecycle: health probe, fresh solve, cache-served
-// repeat, batch solve, async job with SSE follow, metrics accounting, and
-// graceful shutdown. Unlike the shell version it revalidates the returned
-// schedules with core.Execute and runs race-enabled with the rest of the
-// suite.
+// crserved binary with curl: it opens a node with crserved's defaults — full
+// solver registry, sharded memo cache, job manager — behind an httptest
+// listener and walks the whole lifecycle: health probe, fresh solve,
+// cache-served repeat, batch solve, async job with SSE follow, metrics
+// accounting, and graceful shutdown. Unlike the shell version it revalidates
+// the returned schedules with core.Execute and runs race-enabled with the
+// rest of the suite.
 func TestEndToEnd(t *testing.T) {
-	// One engine for the whole stack, exactly like cmd/crserved wires it:
-	// sync handlers, batch fan-out and job workers share its admission
-	// budget, memo cache and telemetry.
-	eng, err := engine.New(engine.Config{
-		Registry: solver.Default(),
-		Cache:    solver.NewCache(8, 256),
-	})
+	node, err := OpenNode(DefaultNodeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	manager, err := jobs.New(jobs.Config{
-		Engine:         eng,
-		Workers:        2,
-		QueueDepth:     64,
-		DefaultTimeout: 20 * time.Second,
-		MaxTimeout:     time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		Engine:  eng,
-		Jobs:    manager,
-		Version: "e2e",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(node.Server.Handler())
 	defer ts.Close()
 
 	// Liveness first, as the shell loop did before sending traffic.
 	var health HealthResponse
 	getJSON(t, ts.URL+"/healthz", &health)
-	if health.Status != "ok" || health.Version != "e2e" {
+	if health.Status != "ok" || health.Version != crsharing.Version {
 		t.Fatalf("healthz: %+v", health)
 	}
 
@@ -214,16 +190,16 @@ func TestEndToEnd(t *testing.T) {
 		t.Error("no cache-served response counted")
 	}
 
-	// Graceful shutdown: the listener drains, then the manager closes
-	// cleanly and refuses further submissions (what SIGINT does in
+	// Graceful shutdown: the listener drains, then the node closes cleanly
+	// and its job manager refuses further submissions (what SIGINT does in
 	// cmd/crserved).
 	ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := manager.Close(ctx); err != nil {
-		t.Fatalf("graceful manager close: %v", err)
+	if err := node.Close(ctx); err != nil {
+		t.Fatalf("graceful node close: %v", err)
 	}
-	if _, err := manager.Submit(jobs.Request{Instance: gen.Figure1()}); !errors.Is(err, jobs.ErrClosed) {
+	if _, err := node.Jobs.Submit(jobs.Request{Instance: gen.Figure1()}); !errors.Is(err, jobs.ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }

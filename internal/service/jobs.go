@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"crsharing/internal/engine"
 	"crsharing/internal/jobs"
@@ -31,14 +30,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, errors.New("missing instance"))
 		return
 	}
-	var timeout time.Duration
-	if req.Timeout != "" {
-		parsed, err := time.ParseDuration(req.Timeout)
-		if err != nil || parsed <= 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("invalid timeout %q", req.Timeout))
-			return
-		}
-		timeout = parsed
+	timeout, err := requestTimeout(req.Timeout)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	snap, err := s.cfg.Jobs.Submit(jobs.Request{
 		Solver:   req.Solver,

@@ -253,9 +253,14 @@ func TestJobEndpointsErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing instance: status %d", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", JobRequest{Instance: testInstance(), Timeout: "yesterday"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad timeout: status %d", resp.StatusCode)
+	// Bad timeouts: /v1/jobs rejects the strings /v1/solve rejects, with the
+	// same message.
+	for _, raw := range []string{"yesterday", "-3s"} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Instance: testInstance(), Timeout: raw})
+		_, solveBody := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: testInstance(), Timeout: raw})
+		if resp.StatusCode != http.StatusBadRequest || string(body) != string(solveBody) {
+			t.Fatalf("timeout %q: job status %d body %s, solve body %s", raw, resp.StatusCode, body, solveBody)
+		}
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/jobs", JobRequest{Instance: testInstance(), Solver: "nope"})
 	if resp.StatusCode != http.StatusBadRequest {
